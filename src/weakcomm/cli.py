@@ -67,7 +67,7 @@ class ScenarioReport:
     verdicts: dict[str, str] = field(default_factory=dict)
     payload: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
-    runtime_ms: int = 0
+    runtime_ms: int | None = None  # stamped by _timed
 
     def record(self, name: str, ok: bool) -> None:
         self.verdicts[name] = "pass" if ok else "fail"
@@ -437,19 +437,31 @@ def scenario_report(args) -> tuple[list[ScenarioReport], int]:
                     subgroup=None,
                     dump_table=None,
                 )
-                sub_reports, sub_code = fn(sub_args)
+                sub_reports, sub_code = _timed(fn, sub_args)
                 reports.extend(sub_reports)
                 code = max(code, sub_code)
     for group in ("f2", "z3"):
         sub_args = argparse.Namespace(
             group=group, samples=args.samples, seed=args.seed, file=None
         )
-        sub_reports, sub_code = scenario_identities(sub_args)
+        sub_reports, sub_code = _timed(scenario_identities, sub_args)
         reports.extend(sub_reports)
         code = max(code, sub_code)
-    sub_reports, sub_code = scenario_ring_audit(argparse.Namespace(seed=args.seed))
+    sub_reports, sub_code = _timed(scenario_ring_audit, argparse.Namespace(seed=args.seed))
     reports.extend(sub_reports)
     code = max(code, sub_code)
+    return reports, code
+
+
+def _timed(scenario, args) -> tuple[list[ScenarioReport], int]:
+    """Run a scenario and stamp its elapsed time on the reports it returns
+    that do not yet carry one (the report suite stamps its own)."""
+    started = time.monotonic()
+    reports, code = scenario(args)
+    elapsed = int((time.monotonic() - started) * 1000)
+    for report in reports:
+        if report.runtime_ms is None:
+            report.runtime_ms = elapsed
     return reports, code
 
 
@@ -543,16 +555,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    started = time.monotonic()
     try:
-        reports, code = _COMMANDS[args.command](args)
+        reports, code = _timed(_COMMANDS[args.command], args)
     except (PresentationError, PerfectBaseRequired, UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    elapsed = int((time.monotonic() - started) * 1000)
-    for report in reports:
-        if report.runtime_ms == 0:
-            report.runtime_ms = elapsed
     if args.json:
         _write_json(reports, args.json)
     return code

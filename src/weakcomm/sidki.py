@@ -48,8 +48,7 @@ from .todd_coxeter import (
     EnumerationLimits,
     DEFAULT_LIMITS,
     enumerate_cosets,
-    letter_column,
-    representative_words,
+    word_image_unchecked,
 )
 from .words import Word, commutator
 
@@ -480,14 +479,7 @@ def analyze_double_kernel(
             w_words.append(correction * Word(rep_letters[c]))  # type: ignore[arg-type]
     w_order = len(w_words)
 
-    def perm_of(word: Word) -> list[int]:
-        arr = list(range(n))
-        for letter in word.letters:
-            col = letter_column(letter)
-            arr = [rows[z][col] for z in arr]
-        return arr
-
-    w_perms = [perm_of(w) for w in w_words]
+    w_perms = [word_image_unchecked(table, w) for w in w_words]
     perm_set = {tuple(p) for p in w_perms}
     if len(perm_set) != w_order:
         raise SidkiError("kernel extraction produced duplicate elements")
@@ -508,6 +500,12 @@ def analyze_double_kernel(
     )
 
     rho_image_order = _rho_image_order(base_group, g, step)
+    # Sidki (1980): im(rho) = {(a, b, c) : a b^-1 c in G'}, of order |G|^2 |G'|.
+    expected = m * m * derived_subgroup(base_group).order
+    if rho_image_order != expected:
+        raise SidkiError(
+            f"|im rho| = {rho_image_order} contradicts |G|^2 |G'| = {expected}"
+        )
     return KernelAnalysis(
         index=n,
         base_order=m,
@@ -540,26 +538,36 @@ def _perm_order(perm: list[int]) -> int:
 
 
 def _rho_image_order(base_group: FiniteGroup, g: int, step) -> int:
-    """Order of the subgroup of base^3 generated by the rho images of the
-    double's generators, by breadth-first closure over encoded triples."""
+    """Order of the subgroup H of base^3 generated by the rho images of the
+    double's generators, by Schreier's lemma for the projection of H onto
+    its first two coordinates.
+
+    A breadth-first search over the pairs (a, b) keeps, per pair, the third
+    coordinate c of its transversal element (a, b, c).  An edge that reaches
+    a known pair closes a Schreier generator (e, e, c' c_known^-1); these
+    generate the kernel K of the projection, so |H| = #pairs * |K|.  Memory
+    is O(|G|^2), never O(|G|^3)."""
     m = base_group.order
-    start = (0, 0, 0)
-
-    def encode(t):
-        return (t[0] * m + t[1]) * m + t[2]
-
-    seen = {encode(start)}
-    queue = deque([start])
+    third = [-1] * (m * m)
+    third[0] = 0
+    pairs = 1
+    queue = deque([(0, 0, 0)])
     cols = [2 * i for i in range(2 * g)]  # positive letters generate
+    closing: set[tuple[int, int]] = set()
     while queue:
         t = queue.popleft()
         for col in cols:
             nt = step(t, col)
-            code = encode(nt)
-            if code not in seen:
-                seen.add(code)
+            key = nt[0] * m + nt[1]
+            known = third[key]
+            if known < 0:
+                third[key] = nt[2]
+                pairs += 1
                 queue.append(nt)
-    return len(seen)
+            elif known != nt[2]:
+                closing.add((nt[2], known))
+    schreier = [base_group.mul(c, base_group.inv(k)) for c, k in closing]
+    return pairs * subgroup_generated(base_group, schreier).order
 
 
 # ---------------------------------------------------------------------------
@@ -603,15 +611,16 @@ def stem_audit(
     data: DoubleData,
     base_group: FiniteGroup,
     x_group: FiniteGroup | None = None,
-    table: CosetTable | None = None,
+    analysis: KernelAnalysis | None = None,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> StemReport:
     """Audit the extension W -> X -> G^3 for a perfect finite base: rho
     surjective, W central, W inside the derived subgroup, X perfect.
 
     Pass a realized ``x_group`` for small doubles (every check is then made
-    directly on subgroups) or let the coset-table route handle large ones.
-    Refuses a non-perfect base."""
+    directly on subgroups) or let the coset-table route handle large ones;
+    that route reuses ``analysis`` when the caller already holds the kernel
+    analysis of ``data``.  Refuses a non-perfect base."""
     if not is_perfect(data.base):
         raise PerfectBaseRequired("stem audit requires a perfect base group")
     m = base_group.order
@@ -640,7 +649,10 @@ def stem_audit(
         )
         return report
 
-    analysis = analyze_double_kernel(data, base_group, limits, table)
+    if analysis is None:
+        analysis = analyze_double_kernel(data, base_group, limits)
+    elif analysis.table.presentation != data.double or analysis.base_order != m:
+        raise SidkiError("supplied kernel analysis is not of this double")
     # X perfect makes the derived subgroup the whole group, so containment
     # of W follows; recorded through the perfectness verdict.
     return StemReport(

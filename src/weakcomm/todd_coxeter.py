@@ -360,12 +360,18 @@ def word_image(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation induced by a word (homomorphic extension)."""
     if not table.is_closed():
         raise TableNotClosedError("permutations require a closed table")
+    return tuple(word_image_unchecked(table, w))
+
+
+def word_image_unchecked(table: CosetTable, w: Word) -> list[int]:
+    """:func:`word_image` as a list, for callers that have already checked
+    that the table is closed."""
     rows = table.rows
     arr = list(range(table.num_cosets))
     for letter in w.letters:
         col = letter_column(letter)
         arr = [rows[x][col] for x in arr]
-    return tuple(arr)
+    return arr
 
 
 def closure_audit(table: CosetTable) -> None:
@@ -386,9 +392,8 @@ def closure_audit(table: CosetTable) -> None:
         for x in full:
             if rows[rows[x][c]][c + 1] != x:
                 raise CosetEnumerationError(f"inverse consistency fails in column {c}")
-    identity = tuple(full)
     for r in table.presentation.relators:
-        if word_image(table, r) != identity:
+        if word_image_unchecked(table, r) != full:
             raise CosetEnumerationError("a relator does not act trivially")
     for w in table.subgroup_words:
         if table.trace(0, w) != 0:

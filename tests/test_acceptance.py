@@ -123,7 +123,7 @@ def test_criterion_4_stem_audit_a5():
         analysis = analyze_double_kernel(data, base)
         assert analysis.x_order == analysis.index * 60
         closure_audit(analysis.table)  # exhaustive relator/permutation check
-        report = stem_audit(data, base, table=analysis.table)
+        report = stem_audit(data, base, analysis=analysis)
         assert report.rho_image_order == 60**3 == 216000
         assert report.rho_surjective
         assert report.w_central

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -165,6 +166,16 @@ def test_report_schema_and_determinism(tmp_path):
         return json.dumps(reports, sort_keys=True)
 
     assert normalized(first) == normalized(second)
+
+
+def test_report_runtimes_belong_to_their_scenarios(tmp_path):
+    out_path = tmp_path / "report.json"
+    started = time.monotonic()
+    assert main(["report", "--samples", "25", "--json", str(out_path)]) == EXIT_PASS
+    wall_ms = (time.monotonic() - started) * 1000
+    reports = json.loads(out_path.read_text())
+    assert len(reports) == 7
+    assert sum(r["runtimeMs"] for r in reports) <= wall_ms
 
 
 def test_rationals_serialized_as_strings(tmp_path):

@@ -1,7 +1,18 @@
+from itertools import permutations
 from random import Random
 
 import pytest
 
+import weakcomm.sidki as sidki
+from helpers import (
+    a5_permutation_model,
+    group_order_orbit_stabilizer,
+    orbit_with_transversal,
+    perm_compose,
+    perm_identity,
+    perm_inverse,
+    perm_power,
+)
 from weakcomm.carriers import FiniteCarrier, FreeAbelianCarrier, FreeCarrier
 from weakcomm.finite_groups import realize, regular_identity_decider, subgroup_generated
 from weakcomm.presentations import (
@@ -353,6 +364,94 @@ def test_kernel_regressions(text, x_order, w_order, image_order):
     assert analysis.rho_image_order == image_order
     assert analysis.lagrange_consistent
     assert analysis.w_abelian
+
+
+S4_TEXT = "< a, b | a^2, b^3, (a*b)^4 >"
+
+
+def s4_permutation_model():
+    """Verified permutations (a, b) on 4 points satisfying the relators of
+    S4_TEXT and generating a group of order 24."""
+    identity = perm_identity(4)
+    a = (1, 0, 2, 3)
+    for b in permutations(range(4)):
+        if b == identity or perm_power(b, 3) != identity:
+            continue
+        if perm_power(perm_compose(a, b), 4) != identity:
+            continue
+        if len(orbit_with_transversal([a, b], 0, 4)) != 4:
+            continue
+        if group_order_orbit_stabilizer([a, b], 4) == 24:
+            return a, b
+    raise AssertionError("no 4-point realization found")
+
+
+def rho_image_permutations(data, model):
+    """The rho images of the double's generators, words over G^3, as
+    permutations of 3*d points: copy j of G acts on points j*d .. j*d+d-1."""
+    g = data.base.num_generators
+    d = len(model[0])
+    out = []
+    for image in data.maps["rho"].images:
+        perm = perm_identity(3 * d)
+        for index, sign in image.letters:
+            copy, gen = divmod(index, g)
+            base_perm = model[gen] if sign == 1 else perm_inverse(model[gen])
+            lifted = list(range(3 * d))
+            for x in range(d):
+                lifted[copy * d + x] = copy * d + base_perm[x]
+            perm = perm_compose(perm, tuple(lifted))
+        out.append(perm)
+    return out
+
+
+@pytest.mark.parametrize(
+    "text, model, image_order",
+    [
+        ("< a, b | a^2, b^3, (a*b)^5 >", a5_permutation_model, 216000),
+        (S4_TEXT, s4_permutation_model, 6912),
+    ],
+)
+def test_rho_image_order_matches_permutation_oracle(text, model, image_order):
+    base = realized(text)
+    data = double_presentation(presented(text), base.words)
+    analysis = analyze_double_kernel(data, base)
+    perms = rho_image_permutations(data, model())
+    degree = len(perms[0])
+    oracle = group_order_orbit_stabilizer(perms, degree)
+    assert analysis.rho_image_order == oracle == image_order
+
+
+def test_rho_image_certificate_fires(monkeypatch):
+    base = realized(S4_TEXT)
+    data = double_presentation(presented(S4_TEXT), base.words)
+    monkeypatch.setattr(sidki, "derived_subgroup", lambda G: subgroup_generated(G, []))
+    with pytest.raises(SidkiError, match="im rho"):
+        analyze_double_kernel(data, base)
+
+
+def test_stem_audit_reuses_kernel_analysis(monkeypatch):
+    text = "< a, b | a^2, b^3, (a*b)^5 >"
+    base = realized(text)
+    data = double_presentation(presented(text), base.words)
+    analysis = analyze_double_kernel(data, base)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel stage ran again")
+
+    monkeypatch.setattr(sidki, "analyze_double_kernel", refuse)
+    report = stem_audit(data, base, analysis=analysis)
+    assert report.rho_image_order == analysis.rho_image_order
+    assert report.w_order == analysis.w_order == 2
+
+
+def test_stem_audit_rejects_foreign_analysis(c2_double):
+    base, data = c2_double
+    analysis = analyze_double_kernel(data, base)
+    trivial = realized("< | >")
+    trivial_data = double_presentation(presented("< | >"), trivial.words)
+    with pytest.raises(SidkiError):
+        stem_audit(trivial_data, trivial, analysis=analysis)
 
 
 def test_stem_audit_trivial_group():
