@@ -315,12 +315,6 @@ class BaumslagSolitarCarrier:
         return self.from_normal_form(p, q, r)
 
 
-def finite_carrier_from_presentation(p: Presentation, realized: FiniteGroup) -> FiniteCarrier:
-    if realized.presentation != p:
-        raise CarrierError("realized group does not match the presentation")
-    return FiniteCarrier(realized)
-
-
 def parse_carrier_word(carrier, text: str):
     """Parse a word over a carrier's generator names into a carrier element."""
     dummy = Presentation.make(carrier.generator_names())

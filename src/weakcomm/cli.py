@@ -1,9 +1,10 @@
 """Command-line driver: named, reproducible verification scenarios with JSON
 reports.
 
-Exit codes: 0 all pass, 1 some verdict failed, 2 usage error, 3 inconclusive
-(e.g. an enumeration limit was hit).  Rationals are printed as p/q strings,
-never floats, and every random scenario records its seed.
+Exit codes: 0 all pass, 1 some verdict failed or an internal invariant
+broke, 2 usage error, 3 inconclusive (e.g. an enumeration limit was hit).
+Rationals are printed as p/q strings, never floats, and every random
+scenario records its seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .group_rings import (
     torsion_idempotent,
     trace_audit,
 )
-from .finite_groups import realize, regular_identity_decider
+from .finite_groups import FiniteGroupError, realize, regular_identity_decider
 from .presentations import (
     PresentationError,
     direct_power,
@@ -39,14 +40,17 @@ from .presentations import (
 from .sidki import (
     PerfectBaseRequired,
     RelatorSchedule,
+    SidkiError,
     analyze_double_kernel,
     canonical_maps,
     double_presentation,
+    rho_on_elements,
     rocco_presentation,
     stem_audit,
 )
 from .smith import is_perfect
 from .todd_coxeter import (
+    CosetEnumerationError,
     EnumerationLimits,
     LimitExceeded,
     dump_table,
@@ -121,12 +125,14 @@ def _limits(args) -> EnumerationLimits:
     )
 
 
-def _print_report(report: ScenarioReport, out) -> None:
-    print(f"scenario: {report.scenario}", file=out)
-    for name, verdict in sorted(report.verdicts.items()):
-        print(f"  {name}: {verdict}", file=out)
-    for key, value in sorted(report.payload.items()):
-        print(f"  {key} = {value}", file=out)
+def _inconclusive(
+    report: ScenarioReport, verdict: str, exc: LimitExceeded
+) -> tuple[list[ScenarioReport], int]:
+    """Record a hit enumeration limit as an inconclusive verdict and end the
+    scenario with it."""
+    report.inconclusive(verdict, f"{exc.kind} limit {exc.limit}")
+    print(f"inconclusive: {exc}")
+    return [report], report.exit_code()
 
 
 def _write_json(reports: list[ScenarioReport], path: str) -> None:
@@ -166,9 +172,7 @@ def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
     try:
         table = enumerate_cosets(pres, subgroup, _limits(args))
     except LimitExceeded as exc:
-        report.inconclusive("enumeration", f"{exc.kind} limit {exc.limit}")
-        print(f"inconclusive: {exc}")
-        return [report], report.exit_code()
+        return _inconclusive(report, "enumeration", exc)
     table = standardize(table)
     report.record("enumeration", True)
     report.payload["index"] = str(table.num_cosets)
@@ -192,9 +196,7 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
         try:
             base_group = realize(enumerate_cosets(pres, (), _limits(args)))
         except LimitExceeded as exc:
-            report.inconclusive("base-enumeration", f"{exc.kind} limit {exc.limit}")
-            print(f"inconclusive: {exc}")
-            return [report], report.exit_code()
+            return _inconclusive(report, "base-enumeration", exc)
         data = double_presentation(pres, base_group.words, schedule)
         maps = canonical_maps(data, regular_identity_decider(base_group))
         report.record("maps-verified", all(maps.verified.values()))
@@ -219,9 +221,7 @@ def scenario_rocco(args) -> tuple[list[ScenarioReport], int]:
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
     except LimitExceeded as exc:
-        report.inconclusive("base-enumeration", f"{exc.kind} limit {exc.limit}")
-        print(f"inconclusive: {exc}")
-        return [report], report.exit_code()
+        return _inconclusive(report, "base-enumeration", exc)
     v_pres = rocco_presentation(pres, base_group.words)
     report.record("constructed", True)
     report.payload["baseOrder"] = str(base_group.order)
@@ -238,9 +238,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
         data = double_presentation(pres, base_group.words, RelatorSchedule.FULL)
         analysis = analyze_double_kernel(data, base_group, _limits(args))
     except LimitExceeded as exc:
-        report.inconclusive("enumeration", f"{exc.kind} limit {exc.limit}")
-        print(f"inconclusive: {exc}")
-        return [report], report.exit_code()
+        return _inconclusive(report, "enumeration", exc)
     report.record("kernel-computed", True)
     report.record("lagrange", analysis.lagrange_consistent)
     report.record("w-abelian", analysis.w_abelian)
@@ -268,15 +266,19 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
         data = double_presentation(pres, base_group.words, RelatorSchedule.FULL)
         stem = stem_audit(data, base_group, limits=_limits(args))
     except LimitExceeded as exc:
-        report.inconclusive("enumeration", f"{exc.kind} limit {exc.limit}")
-        print(f"inconclusive: {exc}")
-        return [report], report.exit_code()
-    report.record("rho-surjective", stem.rho_surjective)
-    report.record("w-central", stem.w_central)
-    report.record("w-in-derived", stem.w_in_derived)
-    report.record("x-perfect", stem.x_perfect)
-    report.record("lemma-consistent", stem.lemma_consistent)
-    report.record("lagrange", stem.lagrange_consistent)
+        return _inconclusive(report, "enumeration", exc)
+    for name, ok in (
+        ("rho-surjective", stem.rho_surjective),
+        ("w-central", stem.w_central),
+        ("w-in-derived", stem.w_in_derived),
+        ("x-perfect", stem.x_perfect),
+        ("lemma-consistent", stem.lemma_consistent),
+        ("lagrange", stem.lagrange_consistent),
+    ):
+        if ok is None:
+            report.inconclusive(name, "W in X' is not computed when X is not perfect")
+        else:
+            report.record(name, ok)
     report.payload["xOrder"] = str(stem.x_order)
     report.payload["wOrder"] = str(stem.w_order)
     report.payload["rhoImageOrder"] = str(stem.rho_image_order)
@@ -295,25 +297,26 @@ def scenario_identities(args) -> tuple[list[ScenarioReport], int]:
     from .sidki import identity_witness
 
     rng = Random(args.seed)
-    if args.group == "f2":
-        carrier = FreeCarrier(2)
-        sample = lambda: carrier.random_element(rng, max_length=6)
-        digest_src = "f2"
-    elif args.group == "z3":
-        carrier = FreeAbelianCarrier(3)
-        sample = lambda: carrier.random_element(rng)
-        digest_src = "z3"
-    else:
+    digest_src = args.group
+    if args.group == "finite":
         if not args.file:
             raise UsageError("--group finite requires a presentation FILE argument")
-        text, pres = _read_presentation(args.file)
-        base_group = realize(enumerate_cosets(pres))
-        carrier = FiniteCarrier(base_group)
-        sample = lambda: carrier.random_element(rng)
-        digest_src = text
+        digest_src, pres = _read_presentation(args.file)
     report = ScenarioReport(
         "identities", _digest(digest_src, str(args.samples)), seed=args.seed
     )
+    if args.group == "f2":
+        carrier = FreeCarrier(2)
+        sample = lambda: carrier.random_element(rng, max_length=6)
+    elif args.group == "z3":
+        carrier = FreeAbelianCarrier(3)
+        sample = lambda: carrier.random_element(rng)
+    else:
+        try:
+            carrier = FiniteCarrier(realize(enumerate_cosets(pres)))
+        except LimitExceeded as exc:
+            return _inconclusive(report, "base-enumeration", exc)
+        sample = lambda: carrier.random_element(rng)
     failures = 0
     for _ in range(args.samples):
         if not identity_witness(carrier, sample(), sample(), sample(), sample()):
@@ -335,20 +338,11 @@ def _c2_pushforward_matrix() -> tuple[RingMatrix, RingMatrix]:
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
     x_carrier = FiniteCarrier(x_group)
-    t_carrier = FiniteCarrier(triple)
-    rho = data.maps["rho"]
-    images = tuple(triple.evaluate(img) for img in rho.images)
-
-    def mapping(elem: int) -> int:
-        z = 0
-        for i, _ in x_group.words[elem].letters:
-            z = triple.mul(z, images[i])
-        return z
-
+    rho = rho_on_elements(data, x_group, triple)
     g = x_group.generator_element(0)
     p = torsion_idempotent(x_carrier, g, 2)
     mat = RingMatrix(x_carrier, [[p]])
-    return mat, pushforward(mat, mapping, t_carrier)
+    return mat, pushforward(mat, rho.apply, FiniteCarrier(triple))
 
 
 def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
@@ -421,35 +415,28 @@ def scenario_report(args) -> tuple[list[ScenarioReport], int]:
     import tempfile
     import os
 
+    parser = build_parser()
+    limits = [
+        "--max-cosets", str(args.max_cosets), "--max-definitions", str(args.max_definitions)
+    ]
+    seed = ["--seed", str(args.seed)]
     reports: list[ScenarioReport] = []
     code = EXIT_PASS
     with tempfile.TemporaryDirectory() as tmp:
+        argvs = []
         for name, text in _REPORT_SUITE_FILES.items():
             path = os.path.join(tmp, f"{name}.grp")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            for fn in (scenario_double, scenario_analyze_w):
-                sub_args = argparse.Namespace(
-                    file=path,
-                    schedule="full",
-                    max_cosets=args.max_cosets,
-                    max_definitions=args.max_definitions,
-                    subgroup=None,
-                    dump_table=None,
-                )
-                sub_reports, sub_code = _timed(fn, sub_args)
-                reports.extend(sub_reports)
-                code = max(code, sub_code)
-    for group in ("f2", "z3"):
-        sub_args = argparse.Namespace(
-            group=group, samples=args.samples, seed=args.seed, file=None
-        )
-        sub_reports, sub_code = _timed(scenario_identities, sub_args)
-        reports.extend(sub_reports)
-        code = max(code, sub_code)
-    sub_reports, sub_code = _timed(scenario_ring_audit, argparse.Namespace(seed=args.seed))
-    reports.extend(sub_reports)
-    code = max(code, sub_code)
+            argvs += [["double", path, *limits], ["analyze-w", path, *limits]]
+        for group in ("f2", "z3"):
+            argvs.append(["identities", "--group", group, "--samples", str(args.samples), *seed])
+        argvs.append(["ring-audit", *seed])
+        for argv in argvs:
+            sub_args = parser.parse_args(argv)
+            sub_reports, sub_code = _timed(_COMMANDS[sub_args.command], sub_args)
+            reports.extend(sub_reports)
+            code = max(code, sub_code)
     return reports, code
 
 
@@ -467,6 +454,13 @@ def _timed(scenario, args) -> tuple[list[ScenarioReport], int]:
 
 class UsageError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,8 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_limits(p):
         add_json(p)
-        p.add_argument("--max-cosets", type=int, default=2_000_000)
-        p.add_argument("--max-definitions", type=int, default=10_000_000)
+        p.add_argument("--max-cosets", type=_positive_int, default=2_000_000)
+        p.add_argument("--max-definitions", type=_positive_int, default=10_000_000)
 
     p = sub.add_parser("parse", help="echo the canonical form of a presentation file")
     p.add_argument("file")
@@ -557,9 +551,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         reports, code = _timed(_COMMANDS[args.command], args)
-    except (PresentationError, PerfectBaseRequired, UsageError, OSError, ValueError) as exc:
+    except (PresentationError, PerfectBaseRequired, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (SidkiError, CosetEnumerationError, FiniteGroupError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     if args.json:
         _write_json(reports, args.json)
     return code

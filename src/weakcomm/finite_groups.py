@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .presentations import Presentation
-from .todd_coxeter import CosetTable, TableNotClosedError
+from .todd_coxeter import CosetTable, TableNotClosedError, spanning_tree
 from .words import Word
 
 
@@ -92,19 +92,10 @@ def realize(table: CosetTable) -> FiniteGroup:
     n = table.num_cosets
     gen_perms = tuple(table.column(2 * i) for i in range(g))
     inv_perms = tuple(table.column(2 * i + 1) for i in range(g))
-    letters: list[tuple | None] = [None] * n
-    letters[0] = ()
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for i in range(g):
-            y = gen_perms[i][x]
-            if letters[y] is None:
-                letters[y] = letters[x] + ((i, 1),)
-                queue.append(y)
-    if any(ls is None for ls in letters):
+    tree = spanning_tree(table, range(0, 2 * g, 2))  # positive letters only
+    if len(tree.order) != n:
         raise FiniteGroupError("generators do not reach every coset")
-    words = tuple(Word(ls) for ls in letters)  # type: ignore[arg-type]
+    words = tuple(Word(ls) for ls in tree.letters())
     return FiniteGroup(table.presentation, gen_perms, inv_perms, words)
 
 

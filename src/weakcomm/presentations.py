@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .words import Word, commutator
+from .words import Word, commutator, shift_word
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -354,21 +354,9 @@ class GeneratorMap:
         return all(is_identity(self.apply(r)) for r in self.source.relators)
 
 
-def compose_maps(first: GeneratorMap, second: GeneratorMap) -> GeneratorMap:
-    if first.target is not second.source and first.target != second.source:
-        raise PresentationError("maps do not compose: target/source mismatch")
-    return GeneratorMap(
-        first.source, second.target, tuple(second.apply(w) for w in first.images)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Free products and direct powers
 # ---------------------------------------------------------------------------
-
-
-def _shift_word(w: Word, offset: int) -> Word:
-    return Word(tuple((i + offset, s) for i, s in w.letters))
 
 
 def free_product(p: Presentation, q: Presentation) -> Presentation:
@@ -384,13 +372,8 @@ def free_product(p: Presentation, q: Presentation) -> Presentation:
             k += 1
         names.append(candidate)
         taken.add(candidate)
-    relators = list(p.relators) + [_shift_word(r, p.num_generators) for r in q.relators]
+    relators = list(p.relators) + [shift_word(r, p.num_generators) for r in q.relators]
     return Presentation.make(names, relators)
-
-
-def power_generator_index(base_num_generators: int, copy: int, base_index: int) -> int:
-    """Index of a base generator inside ``direct_power`` output (0-based copy)."""
-    return copy * base_num_generators + base_index
 
 
 def direct_power(p: Presentation, k: int) -> Presentation:
@@ -402,7 +385,7 @@ def direct_power(p: Presentation, k: int) -> Presentation:
     names = [f"{name}_{c + 1}" for c in range(k) for name in p.generator_names]
     relators: list[Word] = []
     for c in range(k):
-        relators.extend(_shift_word(r, c * g) for r in p.relators)
+        relators.extend(shift_word(r, c * g) for r in p.relators)
     for c1 in range(k):
         for c2 in range(c1 + 1, k):
             for i in range(g):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import lcm
 from typing import Callable
 
@@ -48,9 +48,10 @@ from .todd_coxeter import (
     EnumerationLimits,
     DEFAULT_LIMITS,
     enumerate_cosets,
+    spanning_tree,
     word_image_unchecked,
 )
-from .words import Word, commutator
+from .words import Word, commutator, shift_word
 
 
 class SidkiError(ValueError):
@@ -74,24 +75,33 @@ class RelatorSchedule(enum.Enum):
 
 
 @dataclass(frozen=True)
+class CanonicalMaps:
+    rho: GeneratorMap
+    mu_rho: GeneratorMap
+    omega_rho: GeneratorMap
+    iota: GeneratorMap
+    iota_psi: GeneratorMap
+    verified: dict = field(default_factory=dict)  # map name -> bool
+
+
+@dataclass(frozen=True)
 class DoubleData:
     base: Presentation
     double: Presentation
-    psi_pairing: tuple[tuple[int, int], ...]  # (base index, partner index)
     schedule: RelatorSchedule
     element_words: tuple[Word, ...] | None
-    maps: dict  # name -> GeneratorMap; rho, mu_rho, omega_rho, iota, iota_psi
+    maps: CanonicalMaps  # not verified; see :func:`canonical_maps`
 
     @property
     def partial(self) -> bool:
         return self.schedule is RelatorSchedule.GENERATOR_ONLY
 
     def psi_index(self, base_index: int) -> int:
-        return self.psi_pairing[base_index][1]
+        """Index of the partner of base generator ``base_index``."""
+        return self.base.num_generators + base_index
 
     def psi_word(self, w: Word) -> Word:
-        g = self.base.num_generators
-        return Word(tuple((i + g, s) for i, s in w.letters))
+        return shift_word(w, self.base.num_generators)
 
 
 def _psi_names(base: Presentation) -> list[str]:
@@ -121,11 +131,7 @@ def double_presentation(
     g = base.num_generators
     names = list(base.generator_names) + _psi_names(base)
     relators: list[Word] = list(base.relators)
-
-    def shift(w: Word) -> Word:
-        return Word(tuple((i + g, s) for i, s in w.letters))
-
-    relators.extend(shift(r) for r in base.relators)
+    relators.extend(shift_word(r, g) for r in base.relators)
 
     if schedule is RelatorSchedule.FULL:
         if elements is None:
@@ -136,24 +142,21 @@ def double_presentation(
     else:
         commuting_words = [Word.gen(i) for i in range(g)]
     for w in commuting_words:
-        relators.append(commutator(w, shift(w)))
+        relators.append(commutator(w, shift_word(w, g)))
 
     double = Presentation.make(names, relators)
-    pairing = tuple((i, g + i) for i in range(g))
-    maps = _build_maps(base, double, g)
     data = DoubleData(
         base=base,
         double=double,
-        psi_pairing=pairing,
         schedule=schedule,
         element_words=tuple(elements) if elements is not None else None,
-        maps=maps,
+        maps=_build_maps(base, double, g),
     )
     _check_retraction(data)
     return data
 
 
-def _build_maps(base: Presentation, double: Presentation, g: int) -> dict:
+def _build_maps(base: Presentation, double: Presentation, g: int) -> CanonicalMaps:
     g3 = direct_power(base, 3)
     g2 = direct_power(base, 2)
     rho_images = []
@@ -167,32 +170,22 @@ def _build_maps(base: Presentation, double: Presentation, g: int) -> dict:
         rho_images.append(Word.gen(g + i) * Word.gen(2 * g + i))
         omega_images.append(Word.gen(g + i))
         mu_images.append(Word.gen(i))
-    return {
-        "rho": GeneratorMap(double, g3, tuple(rho_images)),
-        "mu_rho": GeneratorMap(double, base, tuple(mu_images)),
-        "omega_rho": GeneratorMap(double, g2, tuple(omega_images)),
-        "iota": GeneratorMap(base, double, tuple(Word.gen(i) for i in range(g))),
-        "iota_psi": GeneratorMap(base, double, tuple(Word.gen(g + i) for i in range(g))),
-    }
+    return CanonicalMaps(
+        rho=GeneratorMap(double, g3, tuple(rho_images)),
+        mu_rho=GeneratorMap(double, base, tuple(mu_images)),
+        omega_rho=GeneratorMap(double, g2, tuple(omega_images)),
+        iota=GeneratorMap(base, double, tuple(Word.gen(i) for i in range(g))),
+        iota_psi=GeneratorMap(base, double, tuple(Word.gen(g + i) for i in range(g))),
+    )
 
 
 def _check_retraction(data: DoubleData) -> None:
     # mu_rho after iota must be the identity on base generators.
-    iota = data.maps["iota"]
-    mu = data.maps["mu_rho"]
+    iota = data.maps.iota
+    mu = data.maps.mu_rho
     for i in range(data.base.num_generators):
         if mu.apply(iota.images[i]) != Word.gen(i):
             raise SidkiError("retraction check failed: mu_rho(iota(g)) != g")
-
-
-@dataclass(frozen=True)
-class CanonicalMaps:
-    rho: GeneratorMap
-    mu_rho: GeneratorMap
-    omega_rho: GeneratorMap
-    iota: GeneratorMap
-    iota_psi: GeneratorMap
-    verified: dict
 
 
 def canonical_maps(
@@ -219,7 +212,7 @@ def canonical_maps(
             "omega_rho": direct_power_identity_decider(base_identity, 2, g),
         }
         for name, decider in deciders.items():
-            if not maps[name].verify(decider):
+            if not getattr(maps, name).verify(decider):
                 raise SidkiError(f"map {name} fails on a double relator")
             verified[name] = True
     else:
@@ -229,18 +222,11 @@ def canonical_maps(
     # partner copies), so a syntactic membership check suffices.
     syntactic = relator_identity_decider(data.double)
     for name in ("iota", "iota_psi"):
-        if not maps[name].verify(syntactic):
+        if not getattr(maps, name).verify(syntactic):
             raise SidkiError(f"map {name} fails on a base relator")
         verified[name] = True
 
-    return CanonicalMaps(
-        rho=maps["rho"],
-        mu_rho=maps["mu_rho"],
-        omega_rho=maps["omega_rho"],
-        iota=maps["iota"],
-        iota_psi=maps["iota_psi"],
-        verified=verified,
-    )
+    return replace(maps, verified=verified)
 
 
 def induced_double_map(
@@ -251,10 +237,7 @@ def induced_double_map(
         raise SidkiError("base map does not match the doubles")
     g_t = target_double.base.num_generators
     images = [f.images[i] for i in range(f.source.num_generators)]
-    images += [
-        Word(tuple((i + g_t, s) for i, s in f.images[i0].letters))
-        for i0 in range(f.source.num_generators)
-    ]
+    images += [shift_word(f.images[i], g_t) for i in range(f.source.num_generators)]
     return GeneratorMap(source_double.double, target_double.double, tuple(images))
 
 
@@ -275,20 +258,16 @@ def rocco_presentation(
         raise ScheduleError("the construction needs an element enumeration")
     g = base.num_generators
     names = list(base.generator_names) + _psi_names(base)
-
-    def shift(w: Word) -> Word:
-        return Word(tuple((i + g, s) for i, s in w.letters))
-
     relators: list[Word] = list(base.relators)
-    relators.extend(shift(r) for r in base.relators)
+    relators.extend(shift_word(r, g) for r in base.relators)
     elements = tuple(elements)
     for x in elements:
         for y in elements:
-            base_comm = commutator(x, shift(y))
+            base_comm = commutator(x, shift_word(y, g))
             for k in elements:
-                for conjugator in (k, shift(k)):
+                for conjugator in (k, shift_word(k, g)):
                     lhs = base_comm.conjugated_by(conjugator)
-                    rhs = commutator(x.conjugated_by(k), shift(y.conjugated_by(k)))
+                    rhs = commutator(x.conjugated_by(k), shift_word(y.conjugated_by(k), g))
                     relators.append(lhs * rhs.inverse())
     return Presentation.make(names, relators)
 
@@ -298,6 +277,14 @@ def rocco_presentation(
 # ---------------------------------------------------------------------------
 
 
+def rho_on_elements(
+    data: DoubleData, x_group: FiniteGroup, triple_group: FiniteGroup
+) -> FiniteHom:
+    """rho as a homomorphism from a realized double to a realized G^3."""
+    images = tuple(triple_group.evaluate(img) for img in data.maps.rho.images)
+    return FiniteHom(x_group, triple_group, images)
+
+
 @dataclass(frozen=True)
 class SubgroupFamilies:
     l_generator_words: tuple[Word, ...]
@@ -305,6 +292,7 @@ class SubgroupFamilies:
     l: Subgroup
     d: Subgroup
     w: Subgroup
+    image: Subgroup  # im(rho) inside the realized G^3
     rho: FiniteHom
 
 
@@ -334,16 +322,11 @@ def subgroup_families(
     l_sub = subgroup_generated(x_group, [x_group.evaluate(w) for w in l_words])
     d_sub = subgroup_generated(x_group, [x_group.evaluate(w) for w in d_words])
 
-    rho_map = data.maps["rho"]
-    rho_hom = FiniteHom(
-        x_group,
-        triple_group,
-        tuple(triple_group.evaluate(img) for img in rho_map.images),
-    )
-    w_sub, _image = kernel_and_image(rho_hom)
+    rho_hom = rho_on_elements(data, x_group, triple_group)
+    w_sub, image = kernel_and_image(rho_hom)
     if intersect(d_sub, l_sub).elements != w_sub.elements:
         raise SidkiError("kernel of rho differs from the intersection of D and L")
-    return SubgroupFamilies(l_words, d_words, l_sub, d_sub, w_sub, rho_hom)
+    return SubgroupFamilies(l_words, d_words, l_sub, d_sub, w_sub, image, rho_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +434,13 @@ def analyze_double_kernel(
         perm = gp[gen - g] if sign else ip[gen - g]
         return (p_, perm[q_], perm[r_])
 
-    # breadth-first rho images of coset representatives
-    rows = table.rows
-    ncols = table.num_columns
-    rep_letters: list[tuple | None] = [None] * n
+    # rho images of the coset representatives, carried along the tree edges
+    tree = spanning_tree(table, range(table.num_columns))
     rho_rep: list[tuple | None] = [None] * n
-    rep_letters[0] = ()
     rho_rep[0] = (0, 0, 0)
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        row = rows[c]
-        for col in range(ncols):
-            y = row[col]
-            if rep_letters[y] is None:
-                rep_letters[y] = rep_letters[c] + ((col // 2, 1 if col % 2 == 0 else -1),)
-                rho_rep[y] = step(rho_rep[c], col)
-                queue.append(y)
+    for y in tree.order[1:]:
+        rho_rep[y] = step(rho_rep[tree.parent[y]], tree.column[y])
+    rep_letters = tree.letters()
 
     # kernel elements: cosets whose representative maps to (e, q, q); the
     # unique element of ker(rho) in that coset is iota_psi(q^-1) * rep.
@@ -476,7 +449,7 @@ def analyze_double_kernel(
         p_, q_, r_ = rho_rep[c]  # type: ignore[misc]
         if p_ == 0 and q_ == r_:
             correction = data.psi_word(base_group.words[base_group.inv(q_)])
-            w_words.append(correction * Word(rep_letters[c]))  # type: ignore[arg-type]
+            w_words.append(correction * Word(rep_letters[c]))
     w_order = len(w_words)
 
     w_perms = [word_image_unchecked(table, w) for w in w_words]
@@ -583,17 +556,20 @@ class StemReport:
     rho_image_order: int
     rho_surjective: bool
     w_central: bool
-    w_in_derived: bool
+    w_in_derived: bool | None  # None: not computed
     x_perfect: bool
     lagrange_consistent: bool
     w_element_orders: tuple[int, ...]
     method: str
 
     @property
-    def lemma_consistent(self) -> bool:
+    def lemma_consistent(self) -> bool | None:
         """Centrality-with-containment and perfectness of the double must
-        stand or fall together for a perfect base."""
-        stem = self.w_central and self.w_in_derived
+        stand or fall together for a perfect base.  None when W is central
+        but its containment in X' was not computed."""
+        if self.w_central and self.w_in_derived is None:
+            return None
+        stem = self.w_central and self.w_in_derived is True
         return stem == self.x_perfect
 
     @property
@@ -601,7 +577,7 @@ class StemReport:
         return (
             self.rho_surjective
             and self.w_central
-            and self.w_in_derived
+            and self.w_in_derived is True
             and self.x_perfect
             and self.lagrange_consistent
         )
@@ -630,9 +606,9 @@ def stem_audit(
         triple_group = realize(enumerate_cosets(direct_power(data.base, 3), (), limits))
         fam = subgroup_families(data, x_group, triple_group)
         w = fam.w
-        image_order = x_group.order // w.order
+        image_order = fam.image.order
         derived = derived_subgroup(x_group)
-        report = StemReport(
+        return StemReport(
             base_order=m,
             x_order=x_group.order,
             w_order=w.order,
@@ -641,20 +617,18 @@ def stem_audit(
             w_central=w.is_central(),
             w_in_derived=all(derived.contains(x) for x in w.elements),
             x_perfect=x_perfect and derived.order == x_group.order,
-            lagrange_consistent=True,
+            lagrange_consistent=x_group.order == w.order * image_order,
             w_element_orders=tuple(
                 sorted(x_group.element_order(x) for x in w.elements)
             ),
             method="realized",
         )
-        return report
 
     if analysis is None:
         analysis = analyze_double_kernel(data, base_group, limits)
     elif analysis.table.presentation != data.double or analysis.base_order != m:
         raise SidkiError("supplied kernel analysis is not of this double")
-    # X perfect makes the derived subgroup the whole group, so containment
-    # of W follows; recorded through the perfectness verdict.
+    # X perfect gives W <= X' = X; otherwise containment is not computed.
     return StemReport(
         base_order=m,
         x_order=analysis.x_order,
@@ -662,7 +636,7 @@ def stem_audit(
         rho_image_order=analysis.rho_image_order,
         rho_surjective=analysis.rho_image_order == m**3,
         w_central=analysis.w_central,
-        w_in_derived=x_perfect,
+        w_in_derived=True if x_perfect else None,
         x_perfect=x_perfect,
         lagrange_consistent=analysis.lagrange_consistent,
         w_element_orders=analysis.w_element_orders,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from .presentations import Presentation, word_to_text
 from .words import Letter, Word
@@ -324,29 +325,60 @@ def standardize(table: CosetTable) -> CosetTable:
     if not table.is_closed():
         raise TableNotClosedError("cannot standardize a table that is not closed")
     n = table.num_cosets
-    rows = table.rows
-    ncols = table.num_columns
-    new_index: list[int | None] = [None] * n
-    new_index[0] = 0
-    order = [0]
-    count = 1
-    qi = 0
-    while qi < len(order) and count < n:
-        x = order[qi]
-        qi += 1
-        row = rows[x]
-        for c in range(ncols):
-            y = row[c]
-            if new_index[y] is None:
-                new_index[y] = count
-                count += 1
-                order.append(y)
-    if count != n:
+    order = spanning_tree(table, range(table.num_columns)).order
+    if len(order) != n:
         raise CosetEnumerationError("coset action is not transitive")
-    new_rows: list[tuple[int, ...]] = [()] * n
-    for old in range(n):
-        new_rows[new_index[old]] = tuple(new_index[e] for e in rows[old])
+    new_index = [0] * n
+    for new, old in enumerate(order):
+        new_index[old] = new
+    rows = table.rows
+    new_rows = [tuple(new_index[e] for e in rows[old]) for old in order]
     return CosetTable(table.presentation, table.subgroup_words, tuple(new_rows), table.stats)
+
+
+@dataclass(frozen=True)
+class SpanningTree:
+    """A breadth-first spanning tree of a table's coset graph, rooted at
+    coset 0.  ``order`` lists the reached cosets in visit order; a reached
+    coset y > 0 hangs off ``parent[y]`` by an edge in column ``column[y]``,
+    and an unreached coset has parent -1."""
+
+    order: list[int]
+    parent: list[int]
+    column: list[int]
+
+    def letters(self) -> list[tuple[Letter, ...]]:
+        """Per coset, the letters of the tree word that traces coset 0 to it
+        (empty for an unreached coset)."""
+        parent = self.parent
+        column = self.column
+        letters: list[tuple[Letter, ...]] = [()] * len(parent)
+        for y in self.order[1:]:
+            letters[y] = letters[parent[y]] + (column_letter(column[y]),)
+        return letters
+
+
+def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
+    """Breadth-first search of a closed table from coset 0 that scans
+    ``columns`` in the order given and stops once every coset is reached."""
+    rows = table.rows
+    n = len(rows)
+    columns = tuple(columns)
+    parent = [-1] * n
+    column = [-1] * n
+    parent[0] = 0
+    order = [0]
+    for x in order:  # the queue: cosets are appended while it is scanned
+        if len(order) == n:
+            break
+        row = rows[x]
+        for c in columns:
+            y = row[c]
+            if parent[y] < 0:
+                parent[y] = x
+                column[y] = c
+                order.append(y)
+    return SpanningTree(order, parent, column)
 
 
 def permutation_rep(table: CosetTable) -> tuple[tuple[int, ...], ...]:
@@ -398,19 +430,7 @@ def closure_audit(table: CosetTable) -> None:
     for w in table.subgroup_words:
         if table.trace(0, w) != 0:
             raise CosetEnumerationError("a subgroup generator moves coset 0")
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        x = stack.pop()
-        for c in range(table.num_columns):
-            y = rows[x][c]
-            if not seen[y]:
-                seen[y] = True
-                reached += 1
-                stack.append(y)
-    if reached != n:
+    if len(spanning_tree(table, range(table.num_columns)).order) != n:
         raise CosetEnumerationError("joint action is not transitive")
 
 
@@ -418,20 +438,10 @@ def representative_words(table: CosetTable) -> list[Word]:
     """A word per coset tracing coset 0 to it (breadth-first, standard order)."""
     if not table.is_closed():
         raise TableNotClosedError("representatives require a closed table")
-    n = table.num_cosets
-    rows = table.rows
-    letters: list[tuple[Letter, ...] | None] = [None] * n
-    letters[0] = ()
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        row = rows[x]
-        for c in range(table.num_columns):
-            y = row[c]
-            if letters[y] is None:
-                letters[y] = letters[x] + (column_letter(c),)
-                queue.append(y)
-    return [Word(ls) for ls in letters]  # type: ignore[arg-type]
+    tree = spanning_tree(table, range(table.num_columns))
+    if len(tree.order) != table.num_cosets:
+        raise CosetEnumerationError("coset action is not transitive")
+    return [Word(ls) for ls in tree.letters()]
 
 
 def dump_table(table: CosetTable) -> str:

@@ -108,6 +108,12 @@ class Word:
 _IDENTITY = Word(())
 
 
+def shift_word(w: Word, offset: int) -> Word:
+    """Add ``offset`` to every generator index of ``w`` (a word of one factor
+    moved into its copy inside a product or a double)."""
+    return Word(tuple((i + offset, s) for i, s in w.letters))
+
+
 def commutator(x: Word, y: Word) -> Word:
     """[x, y] = x^-1 y^-1 x y."""
     return x.inverse() * y.inverse() * x * y

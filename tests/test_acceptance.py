@@ -184,7 +184,7 @@ def _idempotent_corpus(rng: Random):
     data = double_presentation(pres, base.words, RelatorSchedule.FULL)
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
-    images = tuple(triple.evaluate(img) for img in data.maps["rho"].images)
+    images = tuple(triple.evaluate(img) for img in data.maps.rho.images)
 
     def rho_on_elements(elem: int) -> int:
         z = 0

@@ -3,6 +3,10 @@ import time
 
 import pytest
 
+import weakcomm.cli as cli
+import weakcomm.sidki as sidki
+from weakcomm.finite_groups import subgroup_generated
+from weakcomm.todd_coxeter import LimitExceeded
 from weakcomm.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -14,12 +18,13 @@ from weakcomm.cli import (
 A5 = "< a, b | a^2, b^3, (a*b)^5 >\n"
 C2 = "< a | a^2 >\n"
 KLEIN = "< a, b | a^2, b^2, [a,b] >\n"
+S4 = "< a, b | a^2, b^3, (a*b)^4 >\n"
 
 
 @pytest.fixture
 def files(tmp_path):
     paths = {}
-    for name, text in (("a5", A5), ("c2", C2), ("klein", KLEIN)):
+    for name, text in (("a5", A5), ("c2", C2), ("klein", KLEIN), ("s4", S4)):
         path = tmp_path / f"{name}.grp"
         path.write_text(text)
         paths[name] = str(path)
@@ -111,6 +116,34 @@ def test_stem_audit_rejects_imperfect(files, capsys):
     assert "perfect" in capsys.readouterr().err
 
 
+def test_stem_audit_containment_not_computed_is_inconclusive(files, tmp_path, monkeypatch):
+    # the Klein base passes as perfect and its double (4 generators) does not
+    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
+    monkeypatch.setattr(sidki, "is_perfect", lambda p: p.num_generators == 2)
+    out_path = tmp_path / "stem.json"
+    assert main(["--json", str(out_path), "stem-audit", files["klein"]]) == EXIT_INCONCLUSIVE
+    (report,) = json.loads(out_path.read_text())
+    assert report["verdicts"]["w-in-derived"] == "inconclusive"
+    assert report["verdicts"]["lemma-consistent"] == "inconclusive"
+    assert report["verdicts"]["x-perfect"] == "fail"
+    assert report["verdicts"]["lagrange"] == "pass"
+    assert "not computed" in report["payload"]["inconclusiveReason"]
+
+
+def test_internal_invariant_failure_exits_one(files, monkeypatch, capsys):
+    monkeypatch.setattr(sidki, "derived_subgroup", lambda G: subgroup_generated(G, []))
+    assert main(["analyze-w", files["s4"]]) == EXIT_FAIL
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "im rho" in err
+
+
+@pytest.mark.parametrize("flag", ["--max-cosets", "--max-definitions"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_limits_are_usage_errors(files, flag, value):
+    assert main(["enumerate", files["a5"], flag, value]) == EXIT_USAGE
+
+
 def test_identities_command(files, tmp_path):
     out_path = tmp_path / "ids.json"
     code = main(
@@ -128,6 +161,22 @@ def test_identities_finite_group(files):
         ["identities", "--group", "finite", "--file", files["klein"], "--samples", "50"]
     )
     assert code == EXIT_PASS
+
+
+def test_identities_finite_limit_is_inconclusive(files, tmp_path, monkeypatch, capsys):
+    def hit_limit(*args, **kwargs):
+        raise LimitExceeded("cosets", 5)
+
+    monkeypatch.setattr(cli, "enumerate_cosets", hit_limit)
+    out_path = tmp_path / "ids.json"
+    code = main(
+        ["--json", str(out_path), "identities", "--group", "finite", "--file", files["klein"]]
+    )
+    assert code == EXIT_INCONCLUSIVE
+    assert "inconclusive" in capsys.readouterr().out
+    (report,) = json.loads(out_path.read_text())
+    assert report["verdicts"] == {"base-enumeration": "inconclusive"}
+    assert report["payload"]["inconclusiveReason"] == "cosets limit 5"
 
 
 def test_identities_finite_requires_file(capsys):

@@ -248,7 +248,7 @@ def test_pushforward_of_double_idempotent_along_rho():
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
     x_carrier = FiniteCarrier(x_group)
     t_carrier = FiniteCarrier(triple)
-    images = tuple(triple.evaluate(img) for img in data.maps["rho"].images)
+    images = tuple(triple.evaluate(img) for img in data.maps.rho.images)
 
     def mapping(elem):
         z = 0

@@ -191,11 +191,11 @@ def test_functoriality_smoke(source_text, target_text, image_texts):
     dg = double_presentation(g, realized(target_text).words)
     induced = induced_double_map(f, dh, dg)
     for i in range(h.num_generators):
-        left = induced.apply(dh.maps["iota"].images[i])
-        right = dg.maps["iota"].apply(f.images[i])
+        left = induced.apply(dh.maps.iota.images[i])
+        right = dg.maps.iota.apply(f.images[i])
         assert left == right
-        left_psi = induced.apply(dh.maps["iota_psi"].images[i])
-        right_psi = dg.maps["iota_psi"].apply(f.images[i])
+        left_psi = induced.apply(dh.maps.iota_psi.images[i])
+        right_psi = dg.maps.iota_psi.apply(f.images[i])
         assert left_psi == right_psi
     # the induced map is a homomorphism: every source-double relator maps to
     # the identity of the realized target double
@@ -392,7 +392,7 @@ def rho_image_permutations(data, model):
     g = data.base.num_generators
     d = len(model[0])
     out = []
-    for image in data.maps["rho"].images:
+    for image in data.maps.rho.images:
         perm = perm_identity(3 * d)
         for index, sign in image.letters:
             copy, gen = divmod(index, g)
@@ -471,6 +471,32 @@ def test_stem_audit_trivial_group_realized_path():
     report = stem_audit(data, base, x_group=x_group)
     assert report.all_pass
     assert report.method == "realized"
+
+
+def test_stem_audit_realized_route_matches_kernel_analysis(klein_double, monkeypatch):
+    base, data = klein_double
+    analysis = analyze_double_kernel(data, base)
+    monkeypatch.setattr(sidki, "is_perfect", lambda p: True)
+    x_group = realize(enumerate_cosets(data.double))
+    report = stem_audit(data, base, x_group=x_group)
+    assert report.method == "realized"
+    # |im rho| = |G|^2 |G'| = 4^2 * 1 and Lagrange |X| = |W| |im rho| = 2 * 16
+    assert report.rho_image_order == analysis.rho_image_order == 16
+    assert report.x_order == analysis.x_order == 32
+    assert report.w_order == analysis.w_order == 2
+    assert report.lagrange_consistent and analysis.lagrange_consistent
+
+
+def test_stem_audit_leaves_containment_open_when_x_is_not_perfect(klein_double, monkeypatch):
+    base, data = klein_double
+    monkeypatch.setattr(sidki, "is_perfect", lambda p: p == data.base)
+    report = stem_audit(data, base)
+    assert report.method == "coset-table"
+    assert report.x_perfect is False
+    assert report.w_in_derived is None
+    assert report.w_central
+    assert report.lemma_consistent is None
+    assert report.all_pass is False
 
 
 def test_stem_audit_rejects_imperfect_base(c2_double):
