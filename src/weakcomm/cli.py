@@ -114,8 +114,11 @@ def _rat(x: Fraction) -> str:
 
 
 def _read_presentation(path: str):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not UTF-8 text: {exc}") from None
     return text, parse_presentation(text)
 
 
@@ -283,7 +286,6 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
     report.payload["wOrder"] = str(stem.w_order)
     report.payload["rhoImageOrder"] = str(stem.rho_image_order)
     report.payload["wElementOrders"] = ",".join(map(str, stem.w_element_orders))
-    report.payload["method"] = stem.method
     for name, verdict in sorted(report.verdicts.items()):
         print(f"{name}: {verdict}")
     print(f"|X| = {stem.x_order}, |W| = {stem.w_order}")
@@ -514,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("identities", help="sample the two commutator identities")
     p.add_argument("--group", choices=_IDENTITY_GROUPS, default="f2")
     p.add_argument("--file", help="presentation file for --group finite")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     add_json(p)
 
@@ -523,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_json(p)
 
     p = sub.add_parser("report", help="run the standard scenario suite")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     add_limits(p)
 
@@ -551,14 +553,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         reports, code = _timed(_COMMANDS[args.command], args)
+        if args.json:
+            _write_json(reports, args.json)
     except (PresentationError, PerfectBaseRequired, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SidkiError, CosetEnumerationError, FiniteGroupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if args.json:
-        _write_json(reports, args.json)
     return code
 
 

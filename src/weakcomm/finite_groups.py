@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .presentations import Presentation
-from .todd_coxeter import CosetTable, TableNotClosedError, spanning_tree
+from .todd_coxeter import CosetTable, spanning_tree
 from .words import Word
 
 
@@ -86,8 +86,6 @@ def realize(table: CosetTable) -> FiniteGroup:
     """Turn a closed table over the trivial subgroup into a concrete group."""
     if table.subgroup_words:
         raise FiniteGroupError("realize requires a table over the trivial subgroup")
-    if not table.is_closed():
-        raise TableNotClosedError("realize requires a closed table")
     g = table.presentation.num_generators
     n = table.num_cosets
     gen_perms = tuple(table.column(2 * i) for i in range(g))
@@ -103,7 +101,6 @@ def realize(table: CosetTable) -> FiniteGroup:
 class Subgroup:
     parent: FiniteGroup
     elements: tuple[int, ...]  # sorted
-    generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.elements or self.elements[0] != 0:
@@ -129,7 +126,7 @@ class Subgroup:
 
 
 def _closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
-    gen_list = [x for x in gens if x != 0]
+    gen_list = [x for x in dict.fromkeys(gens) if x != 0]
     seen = {0}
     queue = deque([0])
     while queue:
@@ -143,14 +140,12 @@ def _closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    gen_tuple = tuple(dict.fromkeys(gens))
-    elements = _closure(G, gen_tuple)
-    return Subgroup(G, tuple(elements), gen_tuple)
+    return Subgroup(G, tuple(_closure(G, gens)))
 
 
 def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     group_gens = [G.generator_element(i) for i in range(G.presentation.num_generators)]
-    current = list(dict.fromkeys(x for x in gens if x != 0))
+    current = list(gens)
     while True:
         elements = _closure(G, current)
         members = set(elements)
@@ -162,7 +157,7 @@ def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
                     members.add(t)
                     new.append(t)
         if not new:
-            return Subgroup(G, tuple(sorted(members)), tuple(current))
+            return Subgroup(G, tuple(sorted(members)))
         current.extend(new)
 
 
@@ -171,7 +166,7 @@ def center(G: FiniteGroup) -> Subgroup:
     elems = [
         x for x in G.elements() if all(G.mul(x, k) == G.mul(k, x) for k in gens)
     ]
-    return Subgroup(G, tuple(elems), _independent_generators(G, elems))
+    return Subgroup(G, tuple(elems))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -218,24 +213,11 @@ def class_representative_map(G: FiniteGroup) -> list[int]:
     return reps
 
 
-def _independent_generators(G: FiniteGroup, elements: Sequence[int]) -> tuple[int, ...]:
-    """A generating subset for a subgroup given as a full element list."""
-    gens: list[int] = []
-    generated = {0}
-    for x in elements:
-        if x not in generated:
-            gens.append(x)
-            generated = set(_closure(G, gens))
-    return tuple(gens)
-
-
 def subgroup_from_elements(G: FiniteGroup, elements: Iterable[int]) -> Subgroup:
     elems = tuple(sorted(set(elements)))
-    gens = _independent_generators(G, elems)
-    regenerated = _closure(G, gens)
-    if tuple(regenerated) != elems:
+    if tuple(_closure(G, elems)) != elems:
         raise FiniteGroupError("element set is not closed under the group operation")
-    return Subgroup(G, elems, gens)
+    return Subgroup(G, elems)
 
 
 def intersect(a: Subgroup, b: Subgroup) -> Subgroup:
@@ -254,6 +236,8 @@ class FiniteHom:
     def __post_init__(self) -> None:
         if len(self.images) != self.source.presentation.num_generators:
             raise InvalidHomomorphismError("one image per source generator required")
+        if not all(0 <= x < self.target.order for x in self.images):
+            raise InvalidHomomorphismError("a generator image is not a target element")
 
     def apply(self, x: int) -> int:
         T = self.target

@@ -73,11 +73,7 @@ class RingElement:
         self._check_same(other)
         out = dict(self._coeffs)
         for g, c in other._coeffs.items():
-            s = out.get(g, Fraction(0)) + c
-            if s:
-                out[g] = s
-            else:
-                out.pop(g, None)
+            out[g] = out.get(g, 0) + c
         return RingElement(self.carrier, out)
 
     def __neg__(self) -> "RingElement":
@@ -105,11 +101,7 @@ class RingElement:
         for g, cg in self._coeffs.items():
             for h, ch in other._coeffs.items():
                 k = mul(g, h)
-                s = out.get(k, Fraction(0)) + cg * ch
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
+                out[k] = out.get(k, 0) + cg * ch
         return RingElement(self.carrier, out)
 
     def __rmul__(self, other):
@@ -337,11 +329,7 @@ def pushforward(a: RingMatrix, mapping: Callable, target_carrier) -> RingMatrix:
             coeffs: dict = {}
             for g, c in entry._coeffs.items():
                 k = mapping(g)
-                s = coeffs.get(k, Fraction(0)) + c
-                if s:
-                    coeffs[k] = s
-                else:
-                    del coeffs[k]
+                coeffs[k] = coeffs.get(k, 0) + c
             out_row.append(RingElement(target_carrier, coeffs))
         out_rows.append(out_row)
     return RingMatrix(target_carrier, out_rows)
@@ -511,11 +499,7 @@ def parse_ring_element(carrier, text: str) -> RingElement:
             g = carrier.identity
         else:
             g = parse_carrier_word(carrier, word_text)
-        s = coeffs.get(g, Fraction(0)) + sign * coeff
-        if s:
-            coeffs[g] = s
-        else:
-            coeffs.pop(g, None)
+        coeffs[g] = coeffs.get(g, 0) + sign * coeff
     return RingElement(carrier, coeffs)
 
 

@@ -49,7 +49,7 @@ from .todd_coxeter import (
     DEFAULT_LIMITS,
     enumerate_cosets,
     spanning_tree,
-    word_image_unchecked,
+    word_image,
 )
 from .words import Word, commutator, shift_word
 
@@ -292,7 +292,6 @@ class SubgroupFamilies:
     l: Subgroup
     d: Subgroup
     w: Subgroup
-    image: Subgroup  # im(rho) inside the realized G^3
     rho: FiniteHom
 
 
@@ -323,10 +322,10 @@ def subgroup_families(
     d_sub = subgroup_generated(x_group, [x_group.evaluate(w) for w in d_words])
 
     rho_hom = rho_on_elements(data, x_group, triple_group)
-    w_sub, image = kernel_and_image(rho_hom)
+    w_sub, _ = kernel_and_image(rho_hom)
     if intersect(d_sub, l_sub).elements != w_sub.elements:
         raise SidkiError("kernel of rho differs from the intersection of D and L")
-    return SubgroupFamilies(l_words, d_words, l_sub, d_sub, w_sub, image, rho_hom)
+    return SubgroupFamilies(l_words, d_words, l_sub, d_sub, w_sub, rho_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +451,8 @@ def analyze_double_kernel(
             w_words.append(correction * Word(rep_letters[c]))
     w_order = len(w_words)
 
-    w_perms = [word_image_unchecked(table, w) for w in w_words]
-    perm_set = {tuple(p) for p in w_perms}
+    w_perms = [word_image(table, w) for w in w_words]
+    perm_set = set(w_perms)
     if len(perm_set) != w_order:
         raise SidkiError("kernel extraction produced duplicate elements")
     for p1 in w_perms:
@@ -560,7 +559,6 @@ class StemReport:
     x_perfect: bool
     lagrange_consistent: bool
     w_element_orders: tuple[int, ...]
-    method: str
 
     @property
     def lemma_consistent(self) -> bool | None:
@@ -586,43 +584,19 @@ class StemReport:
 def stem_audit(
     data: DoubleData,
     base_group: FiniteGroup,
-    x_group: FiniteGroup | None = None,
     analysis: KernelAnalysis | None = None,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> StemReport:
     """Audit the extension W -> X -> G^3 for a perfect finite base: rho
     surjective, W central, W inside the derived subgroup, X perfect.
 
-    Pass a realized ``x_group`` for small doubles (every check is then made
-    directly on subgroups) or let the coset-table route handle large ones;
-    that route reuses ``analysis`` when the caller already holds the kernel
-    analysis of ``data``.  Refuses a non-perfect base."""
+    Reads the coset table of the double over iota_psi(G), reusing
+    ``analysis`` when the caller already holds the kernel analysis of
+    ``data``.  Refuses a non-perfect base."""
     if not is_perfect(data.base):
         raise PerfectBaseRequired("stem audit requires a perfect base group")
     m = base_group.order
     x_perfect = is_perfect(data.double)
-
-    if x_group is not None:
-        triple_group = realize(enumerate_cosets(direct_power(data.base, 3), (), limits))
-        fam = subgroup_families(data, x_group, triple_group)
-        w = fam.w
-        image_order = fam.image.order
-        derived = derived_subgroup(x_group)
-        return StemReport(
-            base_order=m,
-            x_order=x_group.order,
-            w_order=w.order,
-            rho_image_order=image_order,
-            rho_surjective=image_order == m**3,
-            w_central=w.is_central(),
-            w_in_derived=all(derived.contains(x) for x in w.elements),
-            x_perfect=x_perfect and derived.order == x_group.order,
-            lagrange_consistent=x_group.order == w.order * image_order,
-            w_element_orders=tuple(
-                sorted(x_group.element_order(x) for x in w.elements)
-            ),
-            method="realized",
-        )
 
     if analysis is None:
         analysis = analyze_double_kernel(data, base_group, limits)
@@ -640,7 +614,6 @@ def stem_audit(
         x_perfect=x_perfect,
         lagrange_consistent=analysis.lagrange_consistent,
         w_element_orders=analysis.w_element_orders,
-        method="coset-table",
     )
 
 

@@ -25,7 +25,8 @@ class CosetEnumerationError(ValueError):
 
 
 class TableNotClosedError(CosetEnumerationError):
-    pass
+    """Raised by :class:`CosetTable` on a table with no rows, a short or long
+    row, or an entry that is not a coset number."""
 
 
 class LimitExceeded(CosetEnumerationError):
@@ -79,14 +80,23 @@ def column_letter(col: int) -> Letter:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """A coset table; the tables returned by :func:`enumerate_cosets` are
-    closed and compacted.  Entry -1 marks an undefined slot in hand-built
-    partial tables."""
+    """A closed coset table: at least one row, one entry per column in every
+    row, and every entry a coset number.  Construction raises
+    :class:`TableNotClosedError` otherwise, so no reader checks again."""
 
     presentation: Presentation
     subgroup_words: tuple[Word, ...]
     rows: tuple[tuple[int, ...], ...]
     stats: EnumerationStats | None = None
+
+    def __post_init__(self) -> None:
+        n = len(self.rows)
+        width = self.num_columns
+        if n == 0:
+            raise TableNotClosedError("a coset table needs at least one row")
+        for row in self.rows:
+            if len(row) != width or (width and (min(row) < 0 or max(row) >= n)):
+                raise TableNotClosedError("coset table is not closed")
 
     @property
     def num_cosets(self) -> int:
@@ -95,9 +105,6 @@ class CosetTable:
     @property
     def num_columns(self) -> int:
         return 2 * self.presentation.num_generators
-
-    def is_closed(self) -> bool:
-        return len(self.rows) > 0 and all(e >= 0 for row in self.rows for e in row)
 
     def column(self, col: int) -> tuple[int, ...]:
         return tuple(row[col] for row in self.rows)
@@ -322,8 +329,6 @@ def standardize(table: CosetTable) -> CosetTable:
     """Renumber cosets in breadth-first order from coset 0, scanning columns
     in declared generator order.  Canonical: two tables of the same action
     standardize identically."""
-    if not table.is_closed():
-        raise TableNotClosedError("cannot standardize a table that is not closed")
     n = table.num_cosets
     order = spanning_tree(table, range(table.num_columns)).order
     if len(order) != n:
@@ -383,27 +388,17 @@ def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
 
 def permutation_rep(table: CosetTable) -> tuple[tuple[int, ...], ...]:
     """One permutation of {0..n-1} per generator (right action on cosets)."""
-    if not table.is_closed():
-        raise TableNotClosedError("permutations require a closed table")
     return tuple(table.column(2 * i) for i in range(table.presentation.num_generators))
 
 
 def word_image(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation induced by a word (homomorphic extension)."""
-    if not table.is_closed():
-        raise TableNotClosedError("permutations require a closed table")
-    return tuple(word_image_unchecked(table, w))
-
-
-def word_image_unchecked(table: CosetTable, w: Word) -> list[int]:
-    """:func:`word_image` as a list, for callers that have already checked
-    that the table is closed."""
     rows = table.rows
     arr = list(range(table.num_cosets))
     for letter in w.letters:
         col = letter_column(letter)
         arr = [rows[x][col] for x in arr]
-    return arr
+    return tuple(arr)
 
 
 def closure_audit(table: CosetTable) -> None:
@@ -412,10 +407,9 @@ def closure_audit(table: CosetTable) -> None:
     Verified: columns are permutations, inverse-column consistency, every
     relator traces to the identity permutation, subgroup generators fix
     coset 0, and the joint action is transitive."""
-    if not table.is_closed():
-        raise TableNotClosedError("closure audit requires a closed table")
     n = table.num_cosets
     full = list(range(n))
+    identity = tuple(full)
     rows = table.rows
     for c in range(table.num_columns):
         if sorted(rows[x][c] for x in full) != full:
@@ -425,7 +419,7 @@ def closure_audit(table: CosetTable) -> None:
             if rows[rows[x][c]][c + 1] != x:
                 raise CosetEnumerationError(f"inverse consistency fails in column {c}")
     for r in table.presentation.relators:
-        if word_image_unchecked(table, r) != full:
+        if word_image(table, r) != identity:
             raise CosetEnumerationError("a relator does not act trivially")
     for w in table.subgroup_words:
         if table.trace(0, w) != 0:
@@ -436,8 +430,6 @@ def closure_audit(table: CosetTable) -> None:
 
 def representative_words(table: CosetTable) -> list[Word]:
     """A word per coset tracing coset 0 to it (breadth-first, standard order)."""
-    if not table.is_closed():
-        raise TableNotClosedError("representatives require a closed table")
     tree = spanning_tree(table, range(table.num_columns))
     if len(tree.order) != table.num_cosets:
         raise CosetEnumerationError("coset action is not transitive")

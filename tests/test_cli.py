@@ -144,6 +144,25 @@ def test_nonpositive_limits_are_usage_errors(files, flag, value):
     assert main(["enumerate", files["a5"], flag, value]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["identities", "report"])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_samples_are_usage_errors(command, value):
+    assert main([command, "--samples", value]) == EXIT_USAGE
+
+
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.grp"
+    bad.write_bytes("< \xe4 | \xe4^2 >\n".encode("latin-1"))
+    assert main(["parse", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_json_into_missing_directory_is_a_usage_error(files, tmp_path, capsys):
+    out_path = tmp_path / "missing" / "out.json"
+    assert main(["--json", str(out_path), "parse", files["c2"]]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_identities_command(files, tmp_path):
     out_path = tmp_path / "ids.json"
     code = main(

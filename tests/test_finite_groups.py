@@ -132,6 +132,13 @@ def test_invalid_homomorphism_rejected():
         kernel_and_image(h)
 
 
+@pytest.mark.parametrize("image", [-1, 7])
+def test_homomorphism_images_must_be_target_elements(image):
+    c4 = group("< a | a^4 >")
+    with pytest.raises(InvalidHomomorphismError):
+        FiniteHom(c4, c4, (image,))
+
+
 def test_kernel_normality_exhaustive(s3):
     c2 = group("< a | a^2 >")
     # sign map: a -> generator, b -> identity

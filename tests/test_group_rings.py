@@ -228,6 +228,21 @@ def test_pushforward_collapse_merges(c2):
     assert image.entries[0][0] == ring_one(c2).scale(2)
 
 
+def test_cancellation_leaves_empty_support(c2, z2):
+    x = parse_ring_element(z2, "2*a - 3/2*b + e")
+    a = monomial(c2, c2.group.generator_element(0))
+    a_minus_b = RingMatrix(z2, [[parse_ring_element(z2, "a - b")]])
+    cancelled = [
+        x + (-x),
+        (ring_one(c2) - a) * (ring_one(c2) + a),
+        pushforward(a_minus_b, lambda g: z2.identity, z2).entries[0][0],
+        parse_ring_element(c2, "a - a"),
+    ]
+    for y in cancelled:
+        assert y.support() == []
+        assert y.is_zero()
+
+
 def test_pushforward_multiplicative(z2, c6):
     rng = Random(8)
     # Z^2 -> Z^2 doubling the first coordinate is a homomorphism

@@ -464,34 +464,10 @@ def test_stem_audit_trivial_group():
     assert report.w_element_orders == (1,)
 
 
-def test_stem_audit_trivial_group_realized_path():
-    base = realized("< | >")
-    data = double_presentation(presented("< | >"), base.words)
-    x_group = realize(enumerate_cosets(data.double))
-    report = stem_audit(data, base, x_group=x_group)
-    assert report.all_pass
-    assert report.method == "realized"
-
-
-def test_stem_audit_realized_route_matches_kernel_analysis(klein_double, monkeypatch):
-    base, data = klein_double
-    analysis = analyze_double_kernel(data, base)
-    monkeypatch.setattr(sidki, "is_perfect", lambda p: True)
-    x_group = realize(enumerate_cosets(data.double))
-    report = stem_audit(data, base, x_group=x_group)
-    assert report.method == "realized"
-    # |im rho| = |G|^2 |G'| = 4^2 * 1 and Lagrange |X| = |W| |im rho| = 2 * 16
-    assert report.rho_image_order == analysis.rho_image_order == 16
-    assert report.x_order == analysis.x_order == 32
-    assert report.w_order == analysis.w_order == 2
-    assert report.lagrange_consistent and analysis.lagrange_consistent
-
-
 def test_stem_audit_leaves_containment_open_when_x_is_not_perfect(klein_double, monkeypatch):
     base, data = klein_double
     monkeypatch.setattr(sidki, "is_perfect", lambda p: p == data.base)
     report = stem_audit(data, base)
-    assert report.method == "coset-table"
     assert report.x_perfect is False
     assert report.w_in_derived is None
     assert report.w_central

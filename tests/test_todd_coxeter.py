@@ -147,13 +147,15 @@ def test_standardize_canonical_a5_trivial():
     assert standardize(table).num_cosets == 60
 
 
-def test_standardize_requires_closed():
+@pytest.mark.parametrize(
+    "rows",
+    [((1, -1),) * 2, ((1, 2), (0, 0)), ((1, 1), (0,)), ()],
+    ids=["undefined-entry", "entry-equal-to-n", "short-row", "no-rows"],
+)
+def test_table_must_be_closed(rows):
     p = parse_presentation("< a | a^2 >")
-    partial = CosetTable(p, (), ((1, -1),) * 2)
     with pytest.raises(TableNotClosedError):
-        standardize(partial)
-    with pytest.raises(TableNotClosedError):
-        permutation_rep(partial)
+        CosetTable(p, (), rows)
 
 
 def test_permutation_rep_c2():
