@@ -10,6 +10,7 @@ scenario records its seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -138,11 +139,9 @@ def _inconclusive(
     return [report], report.exit_code()
 
 
-def _write_json(reports: list[ScenarioReport], path: str) -> None:
-    payload = [r.to_dict() for r in reports]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+def _write_json(reports: list[ScenarioReport], fh) -> None:
+    json.dump([r.to_dict() for r in reports], fh, sort_keys=True, separators=(",", ":"))
+    fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +188,9 @@ def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
     return [report], report.exit_code()
 
 
+_CERTIFICATE_NAMES = {True: "passed", False: "fallback", None: "none-omitted"}
+
+
 def scenario_double(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
     schedule = (
@@ -200,10 +202,11 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
             base_group = realize(enumerate_cosets(pres, (), _limits(args)))
         except LimitExceeded as exc:
             return _inconclusive(report, "base-enumeration", exc)
-        data = double_presentation(pres, base_group.words, schedule)
+        data = double_presentation(pres, base_group.words, schedule, _limits(args))
         maps = canonical_maps(data, regular_identity_decider(base_group))
         report.record("maps-verified", all(maps.verified.values()))
         report.payload["baseOrder"] = str(base_group.order)
+        report.payload["certificate"] = _CERTIFICATE_NAMES[data.certificate]
     else:
         data = double_presentation(pres, None, schedule)
         maps = canonical_maps(data)
@@ -238,7 +241,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     report = ScenarioReport("analyze-w", _digest(text, str(args.max_cosets)))
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL)
+        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
         analysis = analyze_double_kernel(data, base_group, _limits(args))
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
@@ -266,7 +269,7 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
         raise PerfectBaseRequired("stem audit requires a perfect base group")
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL)
+        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
         stem = stem_audit(data, base_group, limits=_limits(args))
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
@@ -552,9 +555,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        reports, code = _timed(_COMMANDS[args.command], args)
-        if args.json:
-            _write_json(reports, args.json)
+        # opened first, so that a path that cannot be written fails before any work
+        out = open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
+        with out as fh:
+            reports, code = _timed(_COMMANDS[args.command], args)
+            if fh is not None:
+                _write_json(reports, fh)
     except (PresentationError, PerfectBaseRequired, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,10 +5,12 @@ Given a presentation of G with generators g_1..g_k, the double has those
 generators plus commuting partner copies (suffix ``_psi``) and relators
 
 * the relators of G and their partner copies, and
-* commutators [w, w_psi]: one per group element of G in the FULL schedule
-  (finite G only, element words supplied by a realized group), or one per
-  declared generator in the GENERATOR_ONLY schedule, which is an explicit
-  under-approximation and marks the result PARTIAL.
+* commutators [w, w_psi]: in the FULL schedule (finite G only, element
+  words supplied by a realized group) those of the element words of length
+  at most ``SHORT_WORD_LENGTH``, with every omitted one proved trivial at
+  run time, or else one per group element; in the GENERATOR_ONLY schedule
+  one per declared generator, which is an explicit under-approximation and
+  marks the result PARTIAL.
 
 The canonical maps are rho (g -> (g,g,1), g_psi -> (1,g,g) into G^3), the
 middle retraction mu_rho, the left-right projection omega_rho, and the two
@@ -47,7 +49,9 @@ from .todd_coxeter import (
     CosetTable,
     EnumerationLimits,
     DEFAULT_LIMITS,
+    LimitExceeded,
     enumerate_cosets,
+    letter_column,
     spanning_tree,
     word_image,
 )
@@ -67,6 +71,10 @@ class PerfectBaseRequired(SidkiError):
 
 
 PSI_MARKER = "_psi"
+
+# The FULL schedule imposes [w, w_psi] outright for the element words of at
+# most this length and certifies the commutators of the longer ones.
+SHORT_WORD_LENGTH = 2
 
 
 class RelatorSchedule(enum.Enum):
@@ -91,6 +99,11 @@ class DoubleData:
     schedule: RelatorSchedule
     element_words: tuple[Word, ...] | None
     maps: CanonicalMaps  # not verified; see :func:`canonical_maps`
+    # None: no commutator was omitted; True: the omitted ones were certified
+    # trivial; False: the certificate failed and every one is imposed.
+    certificate: bool | None = None
+    # The certifying table of ``double`` over iota_psi(G), when one was made.
+    table: CosetTable | None = field(default=None, repr=False, compare=False)
 
     @property
     def partial(self) -> bool:
@@ -120,6 +133,7 @@ def double_presentation(
     base: Presentation,
     elements: tuple[Word, ...] | list[Word] | None = None,
     schedule: RelatorSchedule = RelatorSchedule.FULL,
+    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> DoubleData:
     """Build the double of a presented group.
 
@@ -127,33 +141,119 @@ def double_presentation(
     (shortlex words from a realized finite group); the identity contributes a
     trivial commutator and is dropped.  GENERATOR_ONLY only imposes the
     generator commutators and flags the result PARTIAL, which poisons any
-    claim about the double as a group."""
+    claim about the double as a group.
+
+    The FULL double imposes [w, w_psi] only for the element words of length
+    at most ``SHORT_WORD_LENGTH`` (the short set) when some word is longer.
+    It enumerates this short double X_S over iota_psi(G) and checks that the
+    coset permutations of iota(w) and iota_psi(w) commute for every omitted
+    w.  That proves X_S = X(G): rho is a homomorphism from X_S to G^3 that
+    kills every [w, w_psi], and it is injective on iota_psi(G), so an element
+    of X_S that fixes every coset of iota_psi(G) and lies in ker(rho) is
+    trivial; an omitted commutator that acts trivially is therefore trivial
+    in X_S.  The table is kept in ``DoubleData.table`` for
+    :func:`analyze_double_kernel`.
+
+    The attempt may hold at most min(``limits.max_cosets``, |G|^3) live
+    cosets and ``limits.max_definitions`` definitions; that is the bound on
+    what a failed attempt costs, never a claim.  A hit limit or a pair that
+    does not commute makes the double impose every element's commutator,
+    with no enumeration, and sets ``certificate`` to False."""
     g = base.num_generators
     names = list(base.generator_names) + _psi_names(base)
-    relators: list[Word] = list(base.relators)
-    relators.extend(shift_word(r, g) for r in base.relators)
+    base_relators = list(base.relators) + [shift_word(r, g) for r in base.relators]
 
+    def presented(words) -> Presentation:
+        commutators = [commutator(w, shift_word(w, g)) for w in words]
+        return Presentation.make(names, base_relators + commutators)
+
+    certificate = table = None
     if schedule is RelatorSchedule.FULL:
         if elements is None:
             raise ScheduleError(
                 "the FULL schedule needs the element words of a realized finite group"
             )
-        commuting_words = [w for w in elements if not w.is_identity()]
+        words = [w for w in elements if not w.is_identity()]
+        short = [w for w in words if len(w) <= SHORT_WORD_LENGTH]
+        if len(short) < len(words):
+            budget = replace(limits, max_cosets=min(limits.max_cosets, len(elements) ** 3))
+            double = presented(short)
+            table = _certified_table(double, words, g, budget)
+            certificate = table is not None
+            if not certificate:
+                double = presented(words)
+        else:
+            double = presented(words)
     else:
-        commuting_words = [Word.gen(i) for i in range(g)]
-    for w in commuting_words:
-        relators.append(commutator(w, shift_word(w, g)))
+        double = presented(Word.gen(i) for i in range(g))
 
-    double = Presentation.make(names, relators)
     data = DoubleData(
         base=base,
         double=double,
         schedule=schedule,
         element_words=tuple(elements) if elements is not None else None,
         maps=_build_maps(base, double, g),
+        certificate=certificate,
+        table=table,
     )
     _check_retraction(data)
     return data
+
+
+def _certified_table(
+    short_double: Presentation,
+    words: list[Word],
+    g: int,
+    limits: EnumerationLimits,
+) -> CosetTable | None:
+    """The table of ``short_double`` over iota_psi(G) when every [w, w_psi]
+    with w in ``words`` longer than ``SHORT_WORD_LENGTH`` acts trivially on
+    it; None when one does not or a limit is hit.
+
+    The words are walked depth first along their prefixes (the element
+    words of :func:`realize` are prefix-closed, but listed by element, not
+    by length).  A word's permutations, of iota(w) and of iota_psi(w), are
+    its prefix's composed with one column each; a word whose prefix is not
+    listed is traced in full.  A prefix's permutations are dropped once the
+    words that extend it are built, so the walk holds O(depth * g) of them."""
+    try:
+        table = enumerate_cosets(short_double, _psi_generators(g), limits)
+    except LimitExceeded:
+        return None
+    columns = [table.column(c) for c in range(table.num_columns)]
+
+    def commute(w: Word, p, q) -> bool:
+        return len(w) <= SHORT_WORD_LENGTH or list(map(q.__getitem__, p)) == list(
+            map(p.__getitem__, q)
+        )
+
+    children: dict[tuple, list[Word]] = {}
+    for w in words:
+        children.setdefault(w.letters[:-1], []).append(w)
+    identity = tuple(range(table.num_cosets))
+    stack = [((), identity, identity)]
+    listed = {w.letters for w in words}
+    for w in words:
+        if w.letters[:-1] and w.letters[:-1] not in listed:
+            p, q = word_image(table, w), word_image(table, shift_word(w, g))
+            if not commute(w, p, q):
+                return None
+            stack.append((w.letters, p, q))
+    while stack:
+        letters, p, q = stack.pop()
+        for w in children.get(letters, ()):
+            c = letter_column(w.letters[-1])
+            wp = list(map(columns[c].__getitem__, p))
+            wq = list(map(columns[c + 2 * g].__getitem__, q))
+            if not commute(w, wp, wq):
+                return None
+            if w.letters in children:
+                stack.append((w.letters, wp, wq))
+    return table
+
+
+def _psi_generators(g: int) -> tuple[Word, ...]:
+    return tuple(Word.gen(g + i) for i in range(g))
 
 
 def _build_maps(base: Presentation, double: Presentation, g: int) -> CanonicalMaps:
@@ -406,6 +506,9 @@ def analyze_double_kernel(
     limits: EnumerationLimits = DEFAULT_LIMITS,
     table: CosetTable | None = None,
 ) -> KernelAnalysis:
+    """ker(rho), |X| and |im rho| from the table of the double over
+    iota_psi(G): ``table`` when given, else the certifying table the double
+    was built with, else a fresh enumeration under ``limits``."""
     if data.schedule is not RelatorSchedule.FULL:
         raise SidkiError("kernel analysis needs the FULL schedule")
     if base_group.presentation != data.base:
@@ -413,9 +516,12 @@ def analyze_double_kernel(
     g = data.base.num_generators
     m = base_group.order
 
-    psi_gens = tuple(Word.gen(g + i) for i in range(g))
+    psi_gens = _psi_generators(g)
     if table is None:
-        table = enumerate_cosets(data.double, psi_gens, limits)
+        if data.table is not None:
+            table = data.table
+        else:
+            table = enumerate_cosets(data.double, psi_gens, limits)
     elif table.subgroup_words != psi_gens or table.presentation != data.double:
         raise SidkiError("supplied table does not enumerate the double over iota_psi(G)")
     n = table.num_cosets

@@ -1,14 +1,19 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the library's own code paths: permutation groups
-are realized on explicit points with orders counted by orbit-stabilizer, and
-invariant-factor products are cross-checked against gcds of k x k minors.
+are realized on explicit points with orders counted by orbit-stabilizer,
+invariant-factor products are cross-checked against gcds of k x k minors,
+and the FULL double is written out letter by letter, without
+``weakcomm.sidki``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from math import gcd
+
+from weakcomm.presentations import Presentation
+from weakcomm.words import Word
 
 
 def perm_identity(degree: int) -> tuple[int, ...]:
@@ -126,3 +131,25 @@ def invariant_factors_from_minors(rows, num_cols) -> list[int]:
         factors.append(g // prev)
         prev = g
     return factors
+
+
+def full_double_oracle(base: Presentation, element_words) -> Presentation:
+    """The literal FULL double of a finite base: its relators, their partner
+    copies, and one commutator [w, w_psi] = w^-1 w_psi^-1 w w_psi per
+    non-identity element word, with the partner of ``x`` named ``x_psi``."""
+    g = base.num_generators
+
+    def psi(letters):
+        return tuple((i + g, s) for i, s in letters)
+
+    def inverse(letters):
+        return tuple((i, -s) for i, s in reversed(letters))
+
+    relators = [r.letters for r in base.relators]
+    relators += [psi(r) for r in relators]
+    for w in element_words:
+        if w.letters:
+            u, v = w.letters, psi(w.letters)
+            relators.append(inverse(u) + inverse(v) + u + v)
+    names = list(base.generator_names) + [name + "_psi" for name in base.generator_names]
+    return Presentation.make(names, [Word(r) for r in relators])

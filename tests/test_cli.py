@@ -83,6 +83,12 @@ def test_double_report_counts(files, tmp_path):
     assert report["payload"]["relators"] == "3"
     assert report["payload"]["commutatorRelators"] == "1"
     assert report["payload"]["partial"] == "false"
+    assert report["payload"]["certificate"] == "none-omitted"
+
+    assert main(["--json", str(out_path), "double", files["a5"]]) == EXIT_PASS
+    (report,) = json.loads(out_path.read_text())
+    assert report["payload"]["commutatorRelators"] == "5"
+    assert report["payload"]["certificate"] == "passed"
 
 
 def test_double_generators_schedule_flags_partial(files, capsys, tmp_path):
@@ -109,6 +115,19 @@ def test_analyze_w_klein(files, tmp_path):
     assert report["payload"]["wOrder"] == "2"
     assert report["payload"]["wHasInvolution"] == "true"
     assert report["verdicts"]["lagrange"] == "pass"
+
+
+def test_analyze_w_enumerates_the_double_once(files, monkeypatch):
+    calls = []
+    enumerate_cosets = sidki.enumerate_cosets
+
+    def counted(presentation, subgroup=(), *args):
+        calls.append(tuple(subgroup))
+        return enumerate_cosets(presentation, subgroup, *args)
+
+    monkeypatch.setattr(sidki, "enumerate_cosets", counted)
+    assert main(["analyze-w", files["s4"]]) == EXIT_PASS
+    assert len([s for s in calls if s]) == 1  # over iota_psi(G), by the certificate
 
 
 def test_stem_audit_rejects_imperfect(files, capsys):
@@ -157,10 +176,21 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_json_into_missing_directory_is_a_usage_error(files, tmp_path, capsys):
+def test_json_into_missing_directory_is_a_usage_error(files, tmp_path, capsys, monkeypatch):
     out_path = tmp_path / "missing" / "out.json"
     assert main(["--json", str(out_path), "parse", files["c2"]]) == EXIT_USAGE
-    assert capsys.readouterr().err.startswith("error:")
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""  # the scenario did not run
+
+    def never(args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setitem(cli._COMMANDS, "report", never)
+    assert main(["--json", str(out_path), "report"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
 
 
 def test_identities_command(files, tmp_path):

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 from random import Random
 
@@ -6,6 +7,7 @@ import pytest
 import weakcomm.sidki as sidki
 from helpers import (
     a5_permutation_model,
+    full_double_oracle,
     group_order_orbit_stabilizer,
     orbit_with_transversal,
     perm_compose,
@@ -39,7 +41,7 @@ from weakcomm.sidki import (
     torsion_report_from_orders,
 )
 from weakcomm.smith import abelianization, is_perfect
-from weakcomm.todd_coxeter import enumerate_cosets
+from weakcomm.todd_coxeter import EnumerationLimits, enumerate_cosets, standardize
 from weakcomm.words import Word, commutator
 
 
@@ -108,6 +110,99 @@ def test_psi_name_collision_resolved():
     p = presented("< a, a_psi | >")
     data = double_presentation(p, None, RelatorSchedule.GENERATOR_ONLY)
     assert len(set(data.double.generator_names)) == 4
+
+
+# -- the short commutator set and its certificate ------------------------------
+
+# the bases of the benchmark's realized-doubles workload
+REALIZED_BASES = [
+    "< a | a^2 >",
+    "< a | a^3 >",
+    "< a | a^4 >",
+    "< a | a^5 >",
+    "< a | a^6 >",
+    "< a, b | a^2, b^2, [a,b] >",
+    "< a, b | a^2, b^4, [a,b] >",
+    "< a, b | a^2, b^3, (a*b)^2 >",
+    "< a, b | a^2, b^4, (a*b)^2 >",
+    "< a, b | a^4, a^2*b^-2, b^-1*a*b*a >",
+    "< a, b | a^2, b^5, (a*b)^2 >",
+    "< a, b | a^2, b^3, (a*b)^3 >",
+    "< a, b | a^2, b^3, (a*b)^4 >",
+]
+A5_TEXT = "< a, b | a^2, b^3, (a*b)^5 >"
+C2_CUBED = "< a, b, c | a^2, b^2, c^2, [a,b], [a,c], [b,c] >"
+
+
+def psi_generators(p):
+    return tuple(Word.gen(p.num_generators + i) for i in range(p.num_generators))
+
+
+@pytest.mark.parametrize(
+    "text, realize_x",
+    [(t, True) for t in REALIZED_BASES] + [(C2_CUBED, True), (A5_TEXT, False)],
+)
+def test_double_acts_like_the_full_oracle(text, realize_x):
+    p = presented(text)
+    base = realized(text)
+    data = double_presentation(p, base.words)
+    oracle = full_double_oracle(p, base.words)
+    psi = psi_generators(p)
+    table = data.table if data.table is not None else enumerate_cosets(data.double, psi)
+    oracle_table = enumerate_cosets(oracle, psi)
+    assert standardize(table).rows == standardize(oracle_table).rows
+    if realize_x:  # X(A5) has 432000 elements; its index is compared above
+        assert realize(enumerate_cosets(data.double)).order == realize(
+            enumerate_cosets(oracle)
+        ).order == table.num_cosets * base.order
+
+
+def test_short_set_imposes_words_of_length_two():
+    base = realized(A5_TEXT)
+    data = double_presentation(presented(A5_TEXT), base.words)
+    assert data.certificate is True
+    assert len(data.double.relators) - 2 * 3 == 5  # a, b, ab, ba, bb
+    assert data.table.presentation == data.double
+    assert analyze_double_kernel(data, base).table is data.table
+
+
+def test_c2_cubed_falls_back_to_every_commutator():
+    # its short double passes |G|^3 = 512 live cosets, so the budget fires
+    p = presented(C2_CUBED)
+    base = realized(C2_CUBED)
+    started = time.perf_counter()
+    data = double_presentation(p, base.words)
+    assert time.perf_counter() - started < 1.0
+    assert data.certificate is False and data.table is None
+    assert data.double == full_double_oracle(p, base.words)
+    analysis = analyze_double_kernel(data, base)
+    assert analysis.x_order == 1024
+    assert analysis.w_order == 16
+    assert all(order <= 2 for order in analysis.w_element_orders)
+    fam = subgroup_families(data, realize(enumerate_cosets(data.double)))
+    assert fam.w.order == 16
+    assert torsion_probe(fam.w).orders == analysis.w_element_orders
+
+
+@pytest.mark.parametrize("listed", [(1, 2, 3), (3,)])  # a, aa, aaa; aaa without its prefix
+def test_certificate_rejects_a_pair_that_does_not_commute(listed):
+    # a and a_psi generate S3 here, and aaa acts as a
+    dihedral = presented("< a, a_psi | a^2, a_psi^2, (a*a_psi)^3 >")
+    words = [Word.gen(0) ** k for k in listed]
+    assert sidki._certified_table(dihedral, words, 1, EnumerationLimits()) is None
+    short = [Word.gen(0), Word.gen(0) ** 2]  # not checked: imposed outright
+    assert sidki._certified_table(dihedral, short, 1, EnumerationLimits()) is not None
+
+
+def test_failed_certificate_imposes_every_commutator(monkeypatch):
+    monkeypatch.setattr(sidki, "_certified_table", lambda *args: None)
+    base = realized(S4_TEXT)
+    data = double_presentation(presented(S4_TEXT), base.words)
+    assert data.certificate is False and data.table is None
+    assert len(data.double.relators) - 2 * 3 == 23
+    analysis = analyze_double_kernel(data, base)
+    assert analysis.x_order == 13824
+    assert analysis.w_order == 2
 
 
 # -- canonical maps -----------------------------------------------------------
