@@ -52,6 +52,7 @@ from .sidki import (
 from .smith import is_perfect
 from .todd_coxeter import (
     CosetEnumerationError,
+    CosetTable,
     EnumerationLimits,
     LimitExceeded,
     dump_table,
@@ -129,6 +130,19 @@ def _limits(args) -> EnumerationLimits:
     )
 
 
+def _limit_texts(args) -> tuple[str, str]:
+    """The limits as digest parts: they can change what a scenario reports."""
+    return str(args.max_cosets), str(args.max_definitions)
+
+
+def _record_table(report: ScenarioReport, table: CosetTable) -> None:
+    """The index of ``table`` and the counters of the enumeration that made it."""
+    report.payload["index"] = str(table.num_cosets)
+    if table.stats is not None:
+        report.payload["definitions"] = str(table.stats.definitions)
+        report.payload["coincidences"] = str(table.stats.coincidences)
+
+
 def _inconclusive(
     report: ScenarioReport, verdict: str, exc: LimitExceeded
 ) -> tuple[list[ScenarioReport], int]:
@@ -169,7 +183,7 @@ def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
         if chunk.strip()
     )
     report = ScenarioReport(
-        "enumerate", _digest(text, args.subgroup or "", str(args.max_cosets))
+        "enumerate", _digest(text, args.subgroup or "", *_limit_texts(args))
     )
     try:
         table = enumerate_cosets(pres, subgroup, _limits(args))
@@ -177,10 +191,7 @@ def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
         return _inconclusive(report, "enumeration", exc)
     table = standardize(table)
     report.record("enumeration", True)
-    report.payload["index"] = str(table.num_cosets)
-    stats = table.stats
-    if stats is not None:
-        report.payload["definitions"] = str(stats.definitions)
+    _record_table(report, table)
     print(f"index: {table.num_cosets}")
     if args.dump_table:
         with open(args.dump_table, "w", encoding="utf-8") as fh:
@@ -196,7 +207,7 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
     schedule = (
         RelatorSchedule.FULL if args.schedule == "full" else RelatorSchedule.GENERATOR_ONLY
     )
-    report = ScenarioReport("double", _digest(text, args.schedule))
+    report = ScenarioReport("double", _digest(text, args.schedule, *_limit_texts(args)))
     if schedule is RelatorSchedule.FULL:
         try:
             base_group = realize(enumerate_cosets(pres, (), _limits(args)))
@@ -207,6 +218,8 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
         report.record("maps-verified", all(maps.verified.values()))
         report.payload["baseOrder"] = str(base_group.order)
         report.payload["certificate"] = _CERTIFICATE_NAMES[data.certificate]
+        if data.table is not None:
+            _record_table(report, data.table)
     else:
         data = double_presentation(pres, None, schedule)
         maps = canonical_maps(data)
@@ -223,7 +236,7 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
 
 def scenario_rocco(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
-    report = ScenarioReport("rocco", _digest(text))
+    report = ScenarioReport("rocco", _digest(text, *_limit_texts(args)))
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
     except LimitExceeded as exc:
@@ -238,7 +251,7 @@ def scenario_rocco(args) -> tuple[list[ScenarioReport], int]:
 
 def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
-    report = ScenarioReport("analyze-w", _digest(text, str(args.max_cosets)))
+    report = ScenarioReport("analyze-w", _digest(text, *_limit_texts(args)))
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
         data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
@@ -254,6 +267,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     report.payload["wElementOrders"] = ",".join(map(str, analysis.w_element_orders))
     report.payload["wMaxOrder"] = str(max(analysis.w_element_orders))
     report.payload["wHasInvolution"] = str(2 in analysis.w_element_orders).lower()
+    _record_table(report, analysis.table)
     print(
         f"|X| = {analysis.x_order}, |W| = {analysis.w_order}, "
         f"|im rho| = {analysis.rho_image_order}"
@@ -264,13 +278,14 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
 
 def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
-    report = ScenarioReport("stem-audit", _digest(text, str(args.max_cosets)))
+    report = ScenarioReport("stem-audit", _digest(text, *_limit_texts(args)))
     if not is_perfect(pres):
         raise PerfectBaseRequired("stem audit requires a perfect base group")
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
         data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
-        stem = stem_audit(data, base_group, limits=_limits(args))
+        analysis = analyze_double_kernel(data, base_group, _limits(args))
+        stem = stem_audit(data, base_group, analysis)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
     for name, ok in (
@@ -289,6 +304,7 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
     report.payload["wOrder"] = str(stem.w_order)
     report.payload["rhoImageOrder"] = str(stem.rho_image_order)
     report.payload["wElementOrders"] = ",".join(map(str, stem.w_element_orders))
+    _record_table(report, analysis.table)
     for name, verdict in sorted(report.verdicts.items()):
         print(f"{name}: {verdict}")
     print(f"|X| = {stem.x_order}, |W| = {stem.w_order}")

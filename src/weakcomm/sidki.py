@@ -7,10 +7,15 @@ generators plus commuting partner copies (suffix ``_psi``) and relators
 * the relators of G and their partner copies, and
 * commutators [w, w_psi]: in the FULL schedule (finite G only, element
   words supplied by a realized group) those of the element words of length
-  at most ``SHORT_WORD_LENGTH``, with every omitted one proved trivial at
-  run time, or else one per group element; in the GENERATOR_ONLY schedule
-  one per declared generator, which is an explicit under-approximation and
-  marks the result PARTIAL.
+  at most ``SHORT_WORD_LENGTH``, or else one per group element; in the
+  GENERATOR_ONLY schedule one per declared generator, which is an explicit
+  under-approximation and marks the result PARTIAL.
+
+The FULL double omits the longer commutators only under a certificate
+checked at run time: each omitted [w, w_psi] fixes coset 0 of the short
+double's table over iota_psi(G).  That proves it trivial, because it then
+lies in iota_psi(G) and in ker(rho), and rho(iota_psi(g)) = (1, g, g) makes
+the two meet trivially (Sidki, J. Algebra 63, 1980).
 
 The canonical maps are rho (g -> (g,g,1), g_psi -> (1,g,g) into G^3), the
 middle retraction mu_rho, the left-right projection omega_rho, and the two
@@ -51,7 +56,6 @@ from .todd_coxeter import (
     DEFAULT_LIMITS,
     LimitExceeded,
     enumerate_cosets,
-    letter_column,
     spanning_tree,
     word_image,
 )
@@ -145,19 +149,18 @@ def double_presentation(
 
     The FULL double imposes [w, w_psi] only for the element words of length
     at most ``SHORT_WORD_LENGTH`` (the short set) when some word is longer.
-    It enumerates this short double X_S over iota_psi(G) and checks that the
-    coset permutations of iota(w) and iota_psi(w) commute for every omitted
-    w.  That proves X_S = X(G): rho is a homomorphism from X_S to G^3 that
-    kills every [w, w_psi], and it is injective on iota_psi(G), so an element
-    of X_S that fixes every coset of iota_psi(G) and lies in ker(rho) is
-    trivial; an omitted commutator that acts trivially is therefore trivial
-    in X_S.  The table is kept in ``DoubleData.table`` for
-    :func:`analyze_double_kernel`.
+    It enumerates this short double X_S over iota_psi(G) and checks that
+    every omitted [w, w_psi] fixes coset 0.  That proves X_S = X(G): an
+    element that fixes coset 0 lies in iota_psi(G); rho is a homomorphism
+    from X_S to G^3 that kills every [w, w_psi]; and rho(iota_psi(g)) =
+    (1, g, g), so iota_psi(G) meets ker(rho) trivially and the omitted
+    commutator is trivial in X_S.  The table is kept in ``DoubleData.table``
+    for :func:`analyze_double_kernel`.
 
     The attempt may hold at most min(``limits.max_cosets``, |G|^3) live
     cosets and ``limits.max_definitions`` definitions; that is the bound on
-    what a failed attempt costs, never a claim.  A hit limit or a pair that
-    does not commute makes the double impose every element's commutator,
+    what a failed attempt costs, never a claim.  A hit limit or a commutator
+    that moves coset 0 makes the double impose every element's commutator,
     with no enumeration, and sets ``certificate`` to False."""
     g = base.num_generators
     names = list(base.generator_names) + _psi_names(base)
@@ -207,48 +210,19 @@ def _certified_table(
     limits: EnumerationLimits,
 ) -> CosetTable | None:
     """The table of ``short_double`` over iota_psi(G) when every [w, w_psi]
-    with w in ``words`` longer than ``SHORT_WORD_LENGTH`` acts trivially on
-    it; None when one does not or a limit is hit.
+    with w in ``words`` longer than ``SHORT_WORD_LENGTH`` fixes coset 0; None
+    when one does not or a limit is hit.
 
-    The words are walked depth first along their prefixes (the element
-    words of :func:`realize` are prefix-closed, but listed by element, not
-    by length).  A word's permutations, of iota(w) and of iota_psi(w), are
-    its prefix's composed with one column each; a word whose prefix is not
-    listed is traced in full.  A prefix's permutations are dropped once the
-    words that extend it are built, so the walk holds O(depth * g) of them."""
+    A commutator that fixes coset 0 lies in iota_psi(G), and it lies in
+    ker(rho), which meets iota_psi(G) trivially; so it is trivial.  One
+    trace per word costs O(sum of |w|)."""
     try:
         table = enumerate_cosets(short_double, _psi_generators(g), limits)
     except LimitExceeded:
         return None
-    columns = [table.column(c) for c in range(table.num_columns)]
-
-    def commute(w: Word, p, q) -> bool:
-        return len(w) <= SHORT_WORD_LENGTH or list(map(q.__getitem__, p)) == list(
-            map(p.__getitem__, q)
-        )
-
-    children: dict[tuple, list[Word]] = {}
     for w in words:
-        children.setdefault(w.letters[:-1], []).append(w)
-    identity = tuple(range(table.num_cosets))
-    stack = [((), identity, identity)]
-    listed = {w.letters for w in words}
-    for w in words:
-        if w.letters[:-1] and w.letters[:-1] not in listed:
-            p, q = word_image(table, w), word_image(table, shift_word(w, g))
-            if not commute(w, p, q):
-                return None
-            stack.append((w.letters, p, q))
-    while stack:
-        letters, p, q = stack.pop()
-        for w in children.get(letters, ()):
-            c = letter_column(w.letters[-1])
-            wp = list(map(columns[c].__getitem__, p))
-            wq = list(map(columns[c + 2 * g].__getitem__, q))
-            if not commute(w, wp, wq):
-                return None
-            if w.letters in children:
-                stack.append((w.letters, wp, wq))
+        if len(w) > SHORT_WORD_LENGTH and table.trace(0, commutator(w, shift_word(w, g))):
+            return None
     return table
 
 

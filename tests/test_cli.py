@@ -5,8 +5,9 @@ import pytest
 
 import weakcomm.cli as cli
 import weakcomm.sidki as sidki
-from weakcomm.finite_groups import subgroup_generated
-from weakcomm.todd_coxeter import LimitExceeded
+from weakcomm.finite_groups import realize, subgroup_generated
+from weakcomm.presentations import parse_presentation
+from weakcomm.todd_coxeter import LimitExceeded, enumerate_cosets
 from weakcomm.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -282,3 +283,30 @@ def test_rationals_serialized_as_strings(tmp_path):
     text = out_path.read_text()
     assert "0.5" not in text
     assert "1/2" in text
+
+
+def test_limits_enter_the_input_digest(files, tmp_path):
+    # an A5 short double needs 7200 cosets, so 1000 makes the certificate fall back
+    reports = []
+    for extra in ([], ["--max-cosets", "1000"]):
+        out_path = tmp_path / "double.json"
+        assert main(["--json", str(out_path), "double", files["a5"], *extra]) == EXIT_PASS
+        (report,) = json.loads(out_path.read_text())
+        reports.append(report)
+    default, bounded = reports
+    assert default["payload"]["certificate"] == "passed"
+    assert bounded["payload"]["certificate"] == "fallback"
+    assert bounded["payload"]["commutatorRelators"] == "59"
+    assert default["inputDigest"] != bounded["inputDigest"]
+
+
+@pytest.mark.parametrize("command", ["double", "analyze-w", "stem-audit"])
+def test_payload_carries_the_table_over_iota_psi(files, tmp_path, command):
+    base = realize(enumerate_cosets(parse_presentation(A5)))
+    stats = sidki.double_presentation(parse_presentation(A5), base.words).table.stats
+    out_path = tmp_path / "report.json"
+    assert main(["--json", str(out_path), command, files["a5"]]) == EXIT_PASS
+    (report,) = json.loads(out_path.read_text())
+    assert report["payload"]["index"] == "7200"
+    assert report["payload"]["definitions"] == str(stats.definitions)
+    assert report["payload"]["coincidences"] == str(stats.coincidences)

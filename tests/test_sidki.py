@@ -184,6 +184,36 @@ def test_c2_cubed_falls_back_to_every_commutator():
     assert torsion_probe(fam.w).orders == analysis.w_element_orders
 
 
+def letter_permutations(rows, letters):
+    """The coset permutation of a word given by its letters, read off the
+    rows of a table: column 2i is generator i, column 2i + 1 its inverse."""
+    perm = perm_identity(len(rows))
+    for index, sign in letters:
+        col = 2 * index + (0 if sign == 1 else 1)
+        perm = tuple(rows[x][col] for x in perm)
+    return perm
+
+
+@pytest.mark.parametrize("text", REALIZED_BASES + [A5_TEXT])
+def test_omitted_pairs_commute_on_the_certifying_table(text):
+    # a stronger criterion than the certificate's trace from coset 0, read
+    # off the rows without weakcomm.sidki: iota(w) and iota_psi(w) commute
+    # as permutations of every coset
+    p = presented(text)
+    base = realized(text)
+    data = double_presentation(p, base.words)
+    omitted = [w for w in base.words if len(w) > 2]
+    if not omitted:
+        assert data.certificate is None
+        return
+    assert data.certificate is True
+    rows, g = data.table.rows, p.num_generators
+    for w in omitted:
+        u = letter_permutations(rows, w.letters)
+        v = letter_permutations(rows, [(i + g, s) for i, s in w.letters])
+        assert perm_compose(u, v) == perm_compose(v, u)
+
+
 @pytest.mark.parametrize("listed", [(1, 2, 3), (3,)])  # a, aa, aaa; aaa without its prefix
 def test_certificate_rejects_a_pair_that_does_not_commute(listed):
     # a and a_psi generate S3 here, and aaa acts as a
@@ -459,6 +489,20 @@ def test_kernel_regressions(text, x_order, w_order, image_order):
     assert analysis.rho_image_order == image_order
     assert analysis.lagrange_consistent
     assert analysis.w_abelian
+
+
+def test_psl27_double():
+    # the hardest rung of the ladder: 5 of its 167 commutators are imposed
+    text = "< a, b | a^2, b^3, (a*b)^7, [a,b]^4 >"
+    base = realized(text)
+    data = double_presentation(presented(text), base.words)
+    assert data.certificate is True
+    assert len(data.double.relators) - 2 * 4 == 5
+    analysis = analyze_double_kernel(data, base)
+    assert analysis.index == 56448
+    assert analysis.x_order == 9483264
+    assert analysis.w_order == 2
+    assert analysis.rho_image_order == 4741632
 
 
 S4_TEXT = "< a, b | a^2, b^3, (a*b)^4 >"
