@@ -24,7 +24,6 @@ from .todd_coxeter import (
     closure_audit,
     dump_table,
     enumerate_cosets,
-    permutation_rep,
     standardize,
     word_image,
 )

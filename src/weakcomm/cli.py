@@ -141,6 +141,8 @@ def _record_table(report: ScenarioReport, table: CosetTable) -> None:
     if table.stats is not None:
         report.payload["definitions"] = str(table.stats.definitions)
         report.payload["coincidences"] = str(table.stats.coincidences)
+        report.payload["lookaheads"] = str(table.stats.lookaheads)
+        report.payload["peakLiveCosets"] = str(table.stats.peak_live)
 
 
 def _inconclusive(
@@ -324,7 +326,9 @@ def scenario_identities(args) -> tuple[list[ScenarioReport], int]:
             raise UsageError("--group finite requires a presentation FILE argument")
         digest_src, pres = _read_presentation(args.file)
     report = ScenarioReport(
-        "identities", _digest(digest_src, str(args.samples)), seed=args.seed
+        "identities",
+        _digest(digest_src, str(args.samples), *_limit_texts(args)),
+        seed=args.seed,
     )
     if args.group == "f2":
         carrier = FreeCarrier(2)
@@ -334,7 +338,7 @@ def scenario_identities(args) -> tuple[list[ScenarioReport], int]:
         sample = lambda: carrier.random_element(rng)
     else:
         try:
-            carrier = FiniteCarrier(realize(enumerate_cosets(pres)))
+            carrier = FiniteCarrier(realize(enumerate_cosets(pres, (), _limits(args))))
         except LimitExceeded as exc:
             return _inconclusive(report, "base-enumeration", exc)
         sample = lambda: carrier.random_element(rng)
@@ -537,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="presentation file for --group finite")
     p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    add_json(p)
+    add_limits(p)
 
     p = sub.add_parser("ring-audit", help="run the idempotent corpus audits")
     p.add_argument("--seed", type=int, default=0)

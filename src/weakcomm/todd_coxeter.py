@@ -5,6 +5,11 @@ lookahead pass run periodically and whenever the coset limit is hit, so that
 coincidences can free space before the enumeration gives up.  Coincidences
 are processed immediately through a union-find with column merging.
 
+The table is stored by columns.  Once the dead rows outnumber the live ones
+by ``_COMPACT_MARGIN``, they are dropped between cosets and the live cosets
+renumbered in order, which changes no definition; so memory follows the live
+cosets, and ``max_cosets`` bounds it.
+
 Cosets are numbered from 0; row 0 is the subgroup coset.  Columns come in
 pairs: column 2*i is generator i, column 2*i+1 its inverse, so the inverse
 of column c is c ^ 1.
@@ -12,6 +17,7 @@ of column c is c ^ 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
@@ -57,12 +63,20 @@ DEFAULT_LIMITS = EnumerationLimits()
 # Run a full lookahead pass after this many new definitions.
 _LOOKAHEAD_PERIOD = 500_000
 
+# Compact the table between cosets once its dead rows outnumber the live
+# ones by this many.
+_COMPACT_MARGIN = 1024
+
+# The closed table's rows are built this many at a time.
+_FINISH_CHUNK = 4096
+
 
 @dataclass(frozen=True)
 class EnumerationStats:
     definitions: int
     coincidences: int
     lookaheads: int
+    peak_live: int  # the most live cosets at any moment
 
 
 def letter_column(letter: Letter) -> int:
@@ -120,6 +134,10 @@ class _NeedSpace(Exception):
 
 
 class _Enumerator:
+    """HLT over column storage: ``cols[c][k]`` is the entry of coset k in
+    column c, or -1 while undefined.  A dead coset keeps its row, pointing
+    through ``p`` to a smaller coset, until :meth:`_compact` drops it."""
+
     def __init__(
         self,
         presentation: Presentation,
@@ -133,12 +151,12 @@ class _Enumerator:
         self.presentation = presentation
         self.subgroup_words = subgroup_words
         self.limits = limits
-        self.ncols = 2 * g
         self.relator_paths = [word_columns(r) for r in presentation.relators]
         self.subgroup_paths = [word_columns(w) for w in subgroup_words if w.letters]
-        self.table: list[list[int | None]] = [[None] * self.ncols]
+        self.cols: list[list[int]] = [[-1] for _ in range(2 * g)]
         self.p = [0]
         self.live = 1
+        self.peak_live = 1
         self.defs = 0
         self.coincidences = 0
         self.lookaheads = 0
@@ -167,30 +185,45 @@ class _Enumerator:
             queue.append(ry)
 
     def _coincidence(self, a: int, b: int) -> None:
-        table = self.table
-        ncols = self.ncols
+        cols = self.cols
         queue: deque = deque()
         self._merge(a, b, queue)
         while queue:
             gamma = queue.popleft()
-            row = table[gamma]
-            for c in range(ncols):
-                delta = row[c]
-                if delta is None:
+            for c, col in enumerate(cols):
+                delta = col[gamma]
+                if delta < 0:
                     continue
-                table[delta][c ^ 1] = None
+                inv = cols[c ^ 1]
+                inv[delta] = -1
                 mu = self.rep(gamma)
                 nu = self.rep(delta)
-                tmu = table[mu]
-                if tmu[c] is not None:
-                    self._merge(nu, tmu[c], queue)
+                if col[mu] >= 0:
+                    self._merge(nu, col[mu], queue)
+                elif inv[nu] >= 0:
+                    self._merge(mu, inv[nu], queue)
                 else:
-                    tnu = table[nu]
-                    if tnu[c ^ 1] is not None:
-                        self._merge(mu, tnu[c ^ 1], queue)
-                    else:
-                        tmu[c] = nu
-                        tnu[c ^ 1] = mu
+                    col[mu] = nu
+                    inv[nu] = mu
+
+    def _compact(self, alpha: int) -> int:
+        """Drop the dead rows and renumber the live cosets 0, 1, ... in their
+        old order, so that every comparison of coset numbers, and with it the
+        rest of the enumeration, comes out as before.  Only called with no
+        coincidence pending, when live rows point only at live cosets.
+        Returns the number of live cosets below ``alpha``: the new number of
+        the first live coset at or after it."""
+        p = self.p
+        kept = [k for k in range(len(p)) if p[k] == k]
+        renumber = [-1] * (len(p) + 1)  # the last entry maps -1 to itself
+        # New numbers only for kept cosets: ints made for the dead rows too
+        # would be freed between the kept ones and leave the heap fragmented.
+        for new, old in enumerate(kept):
+            renumber[old] = new
+        for col in self.cols:
+            col[:] = [renumber[e] for e in map(col.__getitem__, kept)]
+        p[:] = map(renumber.__getitem__, kept)
+        return bisect_left(kept, alpha)
 
     # -- definitions and scanning -------------------------------------------
 
@@ -199,25 +232,28 @@ class _Enumerator:
             raise _NeedSpace
         if self.defs >= self.limits.max_definitions:
             raise LimitExceeded("definitions", self.limits.max_definitions)
-        table = self.table
-        beta = len(table)
-        table.append([None] * self.ncols)
+        cols = self.cols
+        beta = len(self.p)
+        for col in cols:
+            col.append(-1)
         self.p.append(beta)
-        table[alpha][c] = beta
-        table[beta][c ^ 1] = alpha
+        cols[c][alpha] = beta
+        cols[c ^ 1][beta] = alpha
         self.defs += 1
         self.live += 1
+        if self.live > self.peak_live:
+            self.peak_live = self.live
 
     def _scan(self, alpha: int, path: list[int], fill: bool) -> None:
-        table = self.table
+        cols = self.cols
         f = alpha
         b = alpha
         i = 0
         j = len(path) - 1
         while True:
             while i <= j:
-                nxt = table[f][path[i]]
-                if nxt is None:
+                nxt = cols[path[i]][f]
+                if nxt < 0:
                     break
                 f = nxt
                 i += 1
@@ -226,8 +262,8 @@ class _Enumerator:
                     self._coincidence(f, b)
                 return
             while j >= i:
-                prev = table[b][path[j] ^ 1]
-                if prev is None:
+                prev = cols[path[j] ^ 1][b]
+                if prev < 0:
                     break
                 b = prev
                 j -= 1
@@ -235,8 +271,8 @@ class _Enumerator:
                 self._coincidence(f, b)
                 return
             if j == i:
-                table[f][path[i]] = b
-                table[b][path[i] ^ 1] = f
+                cols[path[i]][f] = b
+                cols[path[i] ^ 1][b] = f
                 return
             if not fill:
                 return
@@ -246,7 +282,7 @@ class _Enumerator:
         self.lookaheads += 1
         self._defs_at_lookahead = self.defs
         p = self.p
-        for beta in range(len(self.table)):
+        for beta in range(len(p)):
             if p[beta] != beta:
                 continue
             for path in self.relator_paths:
@@ -260,9 +296,8 @@ class _Enumerator:
             self._scan(alpha, path, fill=True)
             if p[alpha] != alpha:
                 return
-        row = self.table[alpha]
-        for c in range(self.ncols):
-            if row[c] is None:
+        for c, col in enumerate(self.cols):
+            if col[alpha] < 0:
                 self._define(alpha, c)
 
     # -- main loop ------------------------------------------------------------
@@ -272,7 +307,7 @@ class _Enumerator:
         for path in self.subgroup_paths:
             self._scan(0, path, fill=True)
         alpha = 0
-        while alpha < len(self.table):
+        while alpha < len(p):
             if self.defs - self._defs_at_lookahead >= _LOOKAHEAD_PERIOD:
                 self._lookahead()
             if p[alpha] == alpha:
@@ -291,25 +326,30 @@ class _Enumerator:
                                 "cosets", self.limits.max_cosets
                             ) from None
             alpha += 1
+            if len(p) - self.live > self.live + _COMPACT_MARGIN:
+                alpha = self._compact(alpha)
         return self._finish()
 
     def _finish(self) -> CosetTable:
-        table = self.table
-        p = self.p
-        live_order = [i for i in range(len(table)) if p[i] == i]
-        new_index = {old: new for new, old in enumerate(live_order)}
-        rows = []
-        for old in live_order:
-            new_row = []
-            for e in table[old]:
-                if e is None:
-                    raise CosetEnumerationError(
-                        "internal error: incomplete row after enumeration"
-                    )
-                new_row.append(new_index[self.rep(e)])
-            rows.append(tuple(new_row))
-        stats = EnumerationStats(self.defs, self.coincidences, self.lookaheads)
-        return CosetTable(self.presentation, self.subgroup_words, tuple(rows), stats)
+        """Compact, then build the rows from the last one back, truncating
+        the columns as they are read, so that the two layouts never coexist
+        in full.  An undefined entry left in a row fails the closedness
+        check of :class:`CosetTable`."""
+        self._compact(0)
+        cols = self.cols
+        if cols:
+            backwards = []
+            for start in reversed(range(0, len(self.p), _FINISH_CHUNK)):
+                backwards += zip(*(reversed(col[start:]) for col in cols))
+                for col in cols:
+                    del col[start:]
+            rows = tuple(reversed(backwards))
+        else:  # no generators: one empty row per coset
+            rows = ((),) * len(self.p)
+        stats = EnumerationStats(
+            self.defs, self.coincidences, self.lookaheads, self.peak_live
+        )
+        return CosetTable(self.presentation, self.subgroup_words, rows, stats)
 
 
 def enumerate_cosets(
@@ -384,11 +424,6 @@ def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
                 column[y] = c
                 order.append(y)
     return SpanningTree(order, parent, column)
-
-
-def permutation_rep(table: CosetTable) -> tuple[tuple[int, ...], ...]:
-    """One permutation of {0..n-1} per generator (right action on cosets)."""
-    return tuple(table.column(2 * i) for i in range(table.presentation.num_generators))
 
 
 def word_image(table: CosetTable, w: Word) -> tuple[int, ...]:

@@ -229,6 +229,19 @@ def test_identities_finite_limit_is_inconclusive(files, tmp_path, monkeypatch, c
     assert report["payload"]["inconclusiveReason"] == "cosets limit 5"
 
 
+def test_identities_finite_takes_limits(files, tmp_path):
+    out_path = tmp_path / "ids.json"
+    argv = ["identities", "--group", "finite", "--file", files["a5"], "--samples", "5"]
+    code = main(["--json", str(out_path), *argv, "--max-cosets", "10"])
+    assert code == EXIT_INCONCLUSIVE
+    (bounded,) = json.loads(out_path.read_text())
+    assert bounded["verdicts"] == {"base-enumeration": "inconclusive"}
+    assert bounded["payload"]["inconclusiveReason"] == "cosets limit 10"
+    assert main(["--json", str(out_path), *argv]) == EXIT_PASS
+    (default,) = json.loads(out_path.read_text())
+    assert default["inputDigest"] != bounded["inputDigest"]
+
+
 def test_identities_finite_requires_file(capsys):
     assert main(["identities", "--group", "finite"]) == EXIT_USAGE
 
@@ -310,3 +323,5 @@ def test_payload_carries_the_table_over_iota_psi(files, tmp_path, command):
     assert report["payload"]["index"] == "7200"
     assert report["payload"]["definitions"] == str(stats.definitions)
     assert report["payload"]["coincidences"] == str(stats.coincidences)
+    assert report["payload"]["lookaheads"] == str(stats.lookaheads)
+    assert report["payload"]["peakLiveCosets"] == str(stats.peak_live)

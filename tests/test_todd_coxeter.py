@@ -7,7 +7,10 @@ from helpers import (
     group_order_orbit_stabilizer,
     perm_identity,
 )
+import weakcomm.todd_coxeter as todd_coxeter
+from weakcomm.finite_groups import realize
 from weakcomm.presentations import parse_presentation, parse_word
+from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import (
     CosetTable,
     EnumerationLimits,
@@ -16,7 +19,6 @@ from weakcomm.todd_coxeter import (
     closure_audit,
     dump_table,
     enumerate_cosets,
-    permutation_rep,
     representative_words,
     standardize,
     word_image,
@@ -67,6 +69,7 @@ def test_trivial_presentation():
     p = parse_presentation("< | >")
     table = enumerate_cosets(p)
     assert table.num_cosets == 1
+    assert table.rows == ((),)  # no columns: one row of width 0
     closure_audit(table)
 
 
@@ -161,8 +164,7 @@ def test_table_must_be_closed(rows):
 def test_permutation_rep_c2():
     p = parse_presentation("< a | a^2 >")
     table = enumerate_cosets(p)
-    (perm,) = permutation_rep(table)
-    assert perm == (1, 0)
+    assert table.column(0) == (1, 0)
 
 
 def test_relators_act_trivially():
@@ -254,4 +256,50 @@ def test_lookahead_recovers_space():
     p = parse_presentation(A5_TEXT)
     table = enumerate_cosets(p, [parse_word("a", p)], EnumerationLimits(max_cosets=40))
     assert table.num_cosets == 30
+    assert table.stats.peak_live <= 40
     closure_audit(table)
+
+
+def _short_double_over_iota_psi(text: str):
+    p = parse_presentation(text)
+    data = double_presentation(p, realize(enumerate_cosets(p)).words)
+    assert data.certificate  # so data.double is the short double
+    g = p.num_generators
+    return data.double, [Word.gen(g + i) for i in range(g)]
+
+
+@pytest.mark.parametrize(
+    "text, index, definitions, coincidences, peak_live",
+    [
+        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1711, 1136, 884),
+        (A5_TEXT, 7200, 25558, 18359, 9280),
+        ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 64281, 49882, 19608),
+    ],
+    ids=["S4", "A5", "SL(2,5)"],
+)
+def test_definition_sequence_is_pinned(text, index, definitions, coincidences, peak_live):
+    # any change to the order of definitions moves these counts
+    table = enumerate_cosets(*_short_double_over_iota_psi(text))
+    assert table.num_cosets == index
+    assert (table.stats.definitions, table.stats.coincidences) == (definitions, coincidences)
+    assert (table.stats.lookaheads, table.stats.peak_live) == (0, peak_live)
+
+
+@pytest.mark.parametrize(
+    "text, subgroup",
+    [
+        (A5_TEXT, ""),
+        ("< a, b | a^6, b^6, (a*b)^2, (a^2*b^2)^2, (a^3*b^3)^5 >", "a"),
+        ("< | >", ""),
+    ],
+)
+def test_compaction_changes_no_definition(monkeypatch, text, subgroup):
+    p = parse_presentation(text)
+    words = [parse_word(subgroup, p)] if subgroup else []
+    monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", 10**9)  # only at the end
+    never = enumerate_cosets(p, words)
+    monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", -(10**9))  # after every coset
+    monkeypatch.setattr(todd_coxeter, "_FINISH_CHUNK", 3)
+    always = enumerate_cosets(p, words)
+    assert always.rows == never.rows
+    assert always.stats == never.stats
