@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add
 from random import Random
 
 from .finite_groups import FiniteGroup, class_representative_map
@@ -112,7 +114,9 @@ class FreeAbelianCarrier:
         return (0,) * self.rank
 
     def mul(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        if len(x) != self.rank or len(y) != self.rank:
+            raise CarrierError(f"elements of Z^{self.rank} must have {self.rank} coordinates")
+        return tuple(map(add, x, y))
 
     def inv(self, x):
         return tuple(-a for a in x)
@@ -209,13 +213,18 @@ class FreeCarrier:
 
 
 def _denominator_valuation(b: Fraction, n: int) -> int:
-    """Least e >= 0 with b * n^e integral; raises when no power suffices."""
-    e = 0
-    while b.denominator != 1:
-        b *= n
-        e += 1
-        if e > 64:
+    """Least e >= 0 with b * n^e integral; raises when no power suffices.
+
+    Each step divides the denominator by its gcd with n, which lowers every
+    prime's exponent by its exponent in n, so the steps to reach 1 are the
+    least such e."""
+    d, e = b.denominator, 0
+    while d != 1:
+        g = gcd(d, n)
+        if g == 1:
             raise CarrierError("denominator is not supported by powers of n")
+        d //= g
+        e += 1
     return e
 
 
@@ -250,17 +259,14 @@ class BaumslagSolitarCarrier:
         return BSElement(Fraction(0), 0)
 
     def mul(self, x: BSElement, y: BSElement) -> BSElement:
-        scale = Fraction(self.n) ** x.k
-        b = x.b + scale * y.b
-        self._check_coefficient(b)
-        return BSElement(b, x.k + y.k)
+        k = x.k
+        b = x.b + (y.b * self.n**k if k >= 0 else y.b / self.n**-k)
+        _denominator_valuation(b, self.n)
+        return BSElement(b, k + y.k)
 
     def inv(self, x: BSElement) -> BSElement:
-        scale = Fraction(self.n) ** (-x.k)
-        return BSElement(-scale * x.b, -x.k)
-
-    def _check_coefficient(self, b: Fraction) -> None:
-        _denominator_valuation(b, self.n)
+        k = x.k
+        return BSElement(-x.b / self.n**k if k >= 0 else -x.b * self.n**-k, -k)
 
     def sort_key(self, x: BSElement):
         return (x.k, x.b)
@@ -288,7 +294,7 @@ class BaumslagSolitarCarrier:
     def normal_form(self, x: BSElement) -> tuple[int, int, int]:
         """The triple (p, q, r) with x = t^-p a^q t^r."""
         p = max(_denominator_valuation(x.b, self.n), -x.k, 0)
-        q = x.b * Fraction(self.n) ** p
+        q = x.b * self.n**p
         assert q.denominator == 1
         return (p, int(q), x.k + p)
 

@@ -3,13 +3,17 @@ them, and the trace functions: the identity-coefficient trace, the
 augmentation, and the Hattori-Stallings class function.
 
 Coefficients are arbitrary-precision rationals throughout, so every equality
-check (idempotency, trace identities) is exact.
+check (idempotency, trace identities) is exact.  Products work in integers:
+each factor's coefficients are brought over one common denominator, each
+output entry accumulates integer numerators over the lcm of its term
+products' denominators, and a ``Fraction`` is made once per surviving term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -43,6 +47,14 @@ class RingElement:
                 if c:
                     cleaned[g] = c
         self._coeffs = cleaned
+
+    @classmethod
+    def _exact(cls, carrier, coeffs: dict) -> "RingElement":
+        """Wrap ``coeffs`` as is: every value must be a nonzero ``Fraction``."""
+        x = object.__new__(cls)
+        x.carrier = carrier
+        x._coeffs = coeffs
+        return x
 
     def coefficient(self, g) -> Fraction:
         return self._coeffs.get(g, Fraction(0))
@@ -96,13 +108,7 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check_same(other)
-        mul = self.carrier.mul
-        out: dict = {}
-        for g, cg in self._coeffs.items():
-            for h, ch in other._coeffs.items():
-                k = mul(g, h)
-                out[k] = out.get(k, 0) + cg * ch
-        return RingElement(self.carrier, out)
+        return _sum_of_products(self.carrier, [(_numerators(self), _numerators(other))])
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -111,6 +117,33 @@ class RingElement:
 
     def __repr__(self) -> str:
         return f"RingElement({format_ring_element(self)!r})"
+
+
+def _numerators(x: RingElement) -> tuple[int, list]:
+    """(d, [(g, n_g), ...]) with x = sum (n_g / d) g and d the lcm of the
+    denominators of x."""
+    coeffs = x._coeffs
+    d = lcm(*[c.denominator for c in coeffs.values()])
+    return d, [(g, c.numerator * (d // c.denominator)) for g, c in coeffs.items()]
+
+
+def _sum_of_products(carrier, pairs: list) -> RingElement:
+    """Sum of x * y over ``pairs`` of factors in the form of ``_numerators``,
+    as integer numerators over the lcm of the products' denominators."""
+    common = lcm(*[dx * dy for (dx, _), (dy, _) in pairs])
+    mul = carrier.mul
+    acc: dict = {}
+    get = acc.get
+    for (dx, xs), (dy, ys) in pairs:
+        scale = common // (dx * dy)
+        for g, a in xs:
+            a *= scale
+            for h, b in ys:
+                k = mul(g, h)
+                acc[k] = get(k, 0) + a * b
+    return RingElement._exact(
+        carrier, {g: Fraction(n, common) for g, n in acc.items() if n}
+    )
 
 
 def ring_zero(carrier) -> RingElement:
@@ -182,20 +215,16 @@ class RingMatrix:
             return NotImplemented
         self._check_same(other)
         n = self.n
-        zero = ring_zero(self.carrier)
-        out = []
+        left = [[_numerators(e) for e in row] for row in self.entries]
+        right = [[_numerators(f) for f in row] for row in other.entries]
+        rows = []
         for i in range(n):
             row = []
             for j in range(n):
-                acc = zero
-                for k in range(n):
-                    e = self.entries[i][k]
-                    f = other.entries[k][j]
-                    if not (e.is_zero() or f.is_zero()):
-                        acc = acc + e * f
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.carrier, out)
+                pairs = [(left[i][k], right[k][j]) for k in range(n) if left[i][k][1] and right[k][j][1]]
+                row.append(_sum_of_products(self.carrier, pairs))
+            rows.append(row)
+        return RingMatrix(self.carrier, rows)
 
     def is_idempotent(self) -> bool:
         return self * self == self

@@ -14,19 +14,46 @@ from typing import Iterable, Iterator
 Letter = tuple[int, int]
 
 
+# One shared tuple per letter value, with its inverse: words hold these, not
+# copies.  A letter and its inverse enter together, once ``_intern`` has
+# checked them.
+_LETTERS: dict[Letter, tuple[Letter, Letter]] = {}
+
+
+def _intern(letter) -> tuple[Letter, Letter]:
+    index, sign = letter
+    if sign != 1 and sign != -1:
+        raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
+    if index < 0:
+        raise ValueError(f"generator index must be nonnegative, got {index!r}")
+    key = (index, sign)
+    if key not in _LETTERS:  # an unhashable spelling of a known letter may get here
+        shared, inverse = (index, 1), (index, -1)
+        _LETTERS[shared] = (shared, inverse)
+        _LETTERS[inverse] = (inverse, shared)
+    return _LETTERS[key]
+
+
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain (single stack pass)."""
     out: list[Letter] = []
-    for index, sign in letters:
-        if sign != 1 and sign != -1:
-            raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
-        if index < 0:
-            raise ValueError(f"generator index must be nonnegative, got {index!r}")
-        if out and out[-1][0] == index and out[-1][1] == -sign:
+    for letter in letters:
+        try:
+            shared, inverse = _LETTERS[letter]
+        except (KeyError, TypeError):
+            shared, inverse = _intern(letter)
+        if out and out[-1] is inverse:
             out.pop()
         else:
-            out.append((index, sign))
+            out.append(shared)
     return tuple(out)
+
+
+def _reduced(letters: tuple[Letter, ...]) -> "Word":
+    """A Word from letters that are already freely reduced and shared."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -37,6 +64,11 @@ class Word:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", free_reduce(self.letters))
+
+    def __reduce__(self):
+        # copies and unpickled words go through the constructor, so their
+        # letters are the shared ones that the product looks up
+        return (Word, (self.letters,))
 
     @staticmethod
     def identity() -> "Word":
@@ -49,10 +81,14 @@ class Word:
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.letters + other.letters)
+        x, y = self.letters, other.letters
+        k, top = 0, min(len(x), len(y))
+        while k < top and x[-1 - k] == _LETTERS[y[k]][1]:
+            k += 1
+        return _reduced(x[: len(x) - k] + y[k:] if k else x + y)
 
     def inverse(self) -> "Word":
-        return Word(tuple((i, -s) for i, s in reversed(self.letters)))
+        return _reduced(tuple(_LETTERS[letter][1] for letter in reversed(self.letters)))
 
     def __invert__(self) -> "Word":
         return self.inverse()

@@ -3,12 +3,15 @@
 These deliberately avoid the library's own code paths: permutation groups
 are realized on explicit points with orders counted by orbit-stabilizer,
 invariant-factor products are cross-checked against gcds of k x k minors,
-and the FULL double is written out letter by letter, without
-``weakcomm.sidki``.
+the FULL double is written out letter by letter, without
+``weakcomm.sidki``, and group-ring products are summed term by term in
+``Fraction``s over dicts, without ``weakcomm.group_rings`` or
+``weakcomm.carriers``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
@@ -153,3 +156,59 @@ def full_double_oracle(base: Presentation, element_words) -> Presentation:
             relators.append(inverse(u) + inverse(v) + u + v)
     names = list(base.generator_names) + [name + "_psi" for name in base.generator_names]
     return Presentation.make(names, [Word(r) for r in relators])
+
+
+# -- group rings ---------------------------------------------------------------
+# Group elements: C6 as ints mod 6, Z^2 as int pairs, F_2 as freely reduced
+# tuples of (index, sign) letters, BS(1, 2) as affine pairs (b, k) for the
+# map z -> 2^k z + b.
+
+
+def c6_mul(x: int, y: int) -> int:
+    return (x + y) % 6
+
+
+def z2_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def free_mul(x: tuple, y: tuple) -> tuple:
+    out = list(x)
+    for index, sign in y:
+        if out and out[-1] == (index, -sign):
+            out.pop()
+        else:
+            out.append((index, sign))
+    return tuple(out)
+
+
+def bs12_mul(x: tuple[Fraction, int], y: tuple[Fraction, int]) -> tuple[Fraction, int]:
+    """The affine map z -> x(y(z))."""
+    (bx, kx), (by, ky) = x, y
+    return (bx + Fraction(2) ** kx * by, kx + ky)
+
+
+def naive_ring_product(mul, x: dict, y: dict) -> dict:
+    """Product of two group-ring elements given as {element: coefficient}."""
+    out: dict = {}
+    for g, a in x.items():
+        for h, b in y.items():
+            k = mul(g, h)
+            out[k] = out.get(k, Fraction(0)) + Fraction(a) * Fraction(b)
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def naive_matrix_product(mul, a: list, b: list) -> list:
+    """Product of square matrices of {element: coefficient} entries."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            entry: dict = {}
+            for k in range(n):
+                for g, c in naive_ring_product(mul, a[i][k], b[k][j]).items():
+                    entry[g] = entry.get(g, Fraction(0)) + c
+            row.append({g: c for g, c in entry.items() if c != 0})
+        out.append(row)
+    return out

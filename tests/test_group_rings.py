@@ -1,7 +1,9 @@
 from fractions import Fraction
+from functools import cache
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakcomm.carriers import (
     BaumslagSolitarCarrier,
@@ -16,6 +18,7 @@ from weakcomm.carriers import (
 from weakcomm.finite_groups import realize
 from weakcomm.group_rings import (
     GroupRingError,
+    RingElement,
     RingMatrix,
     conjugated_diagonal_idempotent,
     diagonal_matrix,
@@ -40,6 +43,8 @@ from weakcomm.presentations import direct_power, parse_presentation
 from weakcomm.sidki import RelatorSchedule, double_presentation
 from weakcomm.todd_coxeter import enumerate_cosets
 from weakcomm.words import Word
+
+from helpers import bs12_mul, c6_mul, free_mul, naive_matrix_product, naive_ring_product, z2_mul
 
 
 def finite_carrier(text):
@@ -378,6 +383,131 @@ def test_bs_non_minimal_normal_form_canonicalized(bs2):
 def test_bs_element_is_affine_pair(bs2):
     x = bs2.from_normal_form(1, 1, 0)
     assert x == BSElement(Fraction(1, 2), -1)
+
+
+def test_bs_rejects_denominator_no_power_of_n_clears(bs2):
+    with pytest.raises(CarrierError):
+        bs2.mul(BSElement(Fraction(1, 3), 0), bs2.identity)
+    with pytest.raises(CarrierError):
+        BaumslagSolitarCarrier(6).mul(bs2.identity, BSElement(Fraction(1, 10), 0))
+
+
+def test_bs_denominator_valuation_takes_least_power():
+    bs6 = BaumslagSolitarCarrier(6)
+    x = BSElement(Fraction(1, 4), 0)  # 4 divides 6^2 but not 6
+    assert bs6.normal_form(x) == (2, 9, 2)
+    assert bs6.from_normal_form(2, 9, 2) == x
+    deep = BSElement(Fraction(1, 2**70), 0)
+    assert BaumslagSolitarCarrier(2).normal_form(deep) == (70, 1, 70)
+
+
+def test_free_abelian_rejects_rank_mismatch(z2):
+    x = RingElement(z2, {(1, 0, 5): 1})
+    y = RingElement(z2, {(1, 0): Fraction(1, 2)})
+    with pytest.raises(CarrierError):
+        x * y
+    with pytest.raises(CarrierError):
+        y * x
+
+
+# -- products against the naive oracle of tests/helpers.py -----------------------
+
+_ELEMENTS = {
+    "c6": st.integers(0, 5),
+    "z2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    "f2": st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=4).map(
+        lambda letters: free_mul((), tuple(letters))
+    ),
+    "bs2": st.builds(
+        lambda q, p, k: (Fraction(q, 2**p), k),
+        st.integers(-4, 4),
+        st.integers(0, 2),
+        st.integers(-2, 2),
+    ),
+}
+_COEFFICIENTS = st.builds(
+    Fraction, st.integers(-3, 3).filter(bool), st.sampled_from((1, 2, 3, 6))
+)
+
+
+@cache
+def _oracle_carriers() -> dict:
+    """Per carrier: the library carrier, the oracle's multiplication, and the
+    map from oracle elements to carrier elements."""
+    c6 = finite_carrier("< a | a^6 >")
+    powers = [c6.element_from_word(Word.gen(0) ** k) for k in range(6)]
+    assert sorted(powers) == list(range(6))
+    return {
+        "c6": (c6, c6_mul, powers.__getitem__),
+        "z2": (FreeAbelianCarrier(2), z2_mul, tuple),
+        "f2": (FreeCarrier(2), free_mul, Word),
+        "bs2": (BaumslagSolitarCarrier(2), bs12_mul, lambda e: BSElement(*e)),
+    }
+
+
+def _terms(name: str):
+    return st.dictionaries(_ELEMENTS[name], _COEFFICIENTS, max_size=4)
+
+
+def _ring(name: str, terms: dict) -> RingElement:
+    carrier, _, to_carrier = _oracle_carriers()[name]
+    return RingElement(carrier, {to_carrier(g): c for g, c in terms.items()})
+
+
+def _assert_exact_and_zero_free(x: RingElement) -> None:
+    assert all(type(c) is Fraction and c != 0 for _, c in x.items())
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_ring_product_matches_oracle(name, data):
+    mul = _oracle_carriers()[name][1]
+    x, y = data.draw(_terms(name)), data.draw(_terms(name))
+    product = _ring(name, x) * _ring(name, y)
+    assert product == _ring(name, naive_ring_product(mul, x, y))
+    _assert_exact_and_zero_free(product)
+
+
+@pytest.mark.parametrize("name", sorted(_ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matrix_product_matches_oracle(name, data):
+    carrier, mul, _ = _oracle_carriers()[name]
+    n = data.draw(st.sampled_from((2, 3)))
+    entry = st.one_of(st.just({}), _terms(name))
+    a, b = (data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)) for _ in range(2))
+    product = RingMatrix(carrier, [[_ring(name, e) for e in row] for row in a]) * RingMatrix(
+        carrier, [[_ring(name, e) for e in row] for row in b]
+    )
+    expected = naive_matrix_product(mul, a, b)
+    assert product == RingMatrix(carrier, [[_ring(name, e) for e in row] for row in expected])
+    for row in product.entries:
+        for e in row:
+            _assert_exact_and_zero_free(e)
+
+
+def test_mixed_denominators_cancel_exactly(z2, c6):
+    x = parse_ring_element(z2, "1/2*e + 1/3*a")
+    y = parse_ring_element(z2, "1/2*e - 1/3*a")
+    # the a terms, -1/6 and +1/6 over the common denominator 36, cancel
+    assert x * y == parse_ring_element(z2, "1/4*e - 1/9*a^2")
+    assert (x * y).support() == [(0, 0), (2, 0)]
+    norm = RingElement(c6, {g: Fraction(1, 6) for g in range(6)})
+    assert (parse_ring_element(c6, "1/2*e - 1/2*a") * norm).support() == []
+    # entry (0, 0): 1/2 a * 1/3 b over 6 and -2/3 a * 1/4 b over 12 cancel
+    half_a, two_thirds_a = monomial(z2, (1, 0), Fraction(1, 2)), monomial(z2, (1, 0), Fraction(-2, 3))
+    zero = ring_zero(z2)
+    left = RingMatrix(z2, [[half_a, two_thirds_a], [zero, monomial(z2, (0, 1), Fraction(1, 6))]])
+    right = RingMatrix(
+        z2,
+        [[monomial(z2, (0, 1), Fraction(1, 3)), zero], [monomial(z2, (0, 1), Fraction(1, 4)), ring_one(z2)]],
+    )
+    product = left * right
+    assert product.entries[0][0].is_zero() and product.entries[0][0].support() == []
+    assert product.entries[0][1] == two_thirds_a
+    assert product.entries[1][0] == monomial(z2, (0, 2), Fraction(1, 24))
+    assert product.entries[1][1] == monomial(z2, (0, 1), Fraction(1, 6))
 
 
 # -- literals ------------------------------------------------------------------

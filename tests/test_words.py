@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -74,6 +75,25 @@ def test_invert_is_involution(ls):
     assert word.inverse().inverse() == word
     assert (word * word.inverse()).is_identity()
     assert (word.inverse() * word).is_identity()
+
+
+@given(letters, letters)
+def test_product_reduces_at_the_seam(xs, ys):
+    x, y = Word(tuple(xs)), Word(tuple(ys))
+    assert x * y == Word(x.letters + y.letters)
+    assert (x * y).letters == free_reduce(tuple(xs) + tuple(ys))
+    assert (x * x.inverse()) == Word.identity()
+    assert (x * x.inverse()).letters == ()
+
+
+def test_letters_are_shared():
+    x, y = Word(((0, 1), (1, -1))), Word(((1, -1), (0, 1)))
+    assert x.letters[0] is y.letters[1]
+    assert x.letters[1] is y.letters[0]
+    assert (x * y).letters[1] is x.letters[1]
+    copied = pickle.loads(pickle.dumps(x))
+    assert copied == x and copied.letters[0] is x.letters[0]
+    assert (copied * x.inverse()).is_identity()
 
 
 def test_multiply_associative_on_random_sample():
