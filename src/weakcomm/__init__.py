@@ -10,7 +10,6 @@ from .presentations import (
     PresentationSyntaxError,
     UndeclaredGeneratorError,
     direct_power,
-    free_product,
     parse_presentation,
     parse_word,
     presentation_to_text,
@@ -49,7 +48,6 @@ from .sidki import (
     canonical_maps,
     double_presentation,
     identity_witness,
-    rocco_presentation,
     stem_audit,
     subgroup_families,
     torsion_probe,

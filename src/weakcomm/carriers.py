@@ -20,7 +20,7 @@ from operator import add
 from random import Random
 
 from .finite_groups import FiniteGroup, class_representative_map
-from .presentations import Presentation, parse_word, word_to_text
+from .presentations import word_to_text
 from .words import Word
 
 
@@ -83,9 +83,6 @@ class FiniteCarrier:
 
     def random_element(self, rng: Random) -> int:
         return rng.randrange(self.group.order)
-
-    def element_order(self, x: int) -> int:
-        return self.group.element_order(x)
 
 
 @dataclass(frozen=True)
@@ -319,9 +316,3 @@ class BaumslagSolitarCarrier:
         q = rng.randint(-self.n**bound, self.n**bound)
         r = rng.randint(0, bound)
         return self.from_normal_form(p, q, r)
-
-
-def parse_carrier_word(carrier, text: str):
-    """Parse a word over a carrier's generator names into a carrier element."""
-    dummy = Presentation.make(carrier.generator_names())
-    return carrier.element_from_word(parse_word(text, dummy))

@@ -45,8 +45,8 @@ from .sidki import (
     analyze_double_kernel,
     canonical_maps,
     double_presentation,
+    identity_witness,
     rho_on_elements,
-    rocco_presentation,
     stem_audit,
 )
 from .smith import is_perfect
@@ -236,28 +236,19 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
     return [report], report.exit_code()
 
 
-def scenario_rocco(args) -> tuple[list[ScenarioReport], int]:
-    text, pres = _read_presentation(args.file)
-    report = ScenarioReport("rocco", _digest(text, *_limit_texts(args)))
-    try:
-        base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-    except LimitExceeded as exc:
-        return _inconclusive(report, "base-enumeration", exc)
-    v_pres = rocco_presentation(pres, base_group.words)
-    report.record("constructed", True)
-    report.payload["baseOrder"] = str(base_group.order)
-    report.payload["relators"] = str(len(v_pres.relators))
-    print(presentation_to_text(v_pres))
-    return [report], report.exit_code()
+def _kernel_pipeline(pres, args):
+    """Realize G, build its FULL double and analyze ker(rho) under the
+    command's limits; raises LimitExceeded when one is hit."""
+    base_group = realize(enumerate_cosets(pres, (), _limits(args)))
+    data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
+    return base_group, data, analyze_double_kernel(data, base_group, _limits(args))
 
 
 def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
     report = ScenarioReport("analyze-w", _digest(text, *_limit_texts(args)))
     try:
-        base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
-        analysis = analyze_double_kernel(data, base_group, _limits(args))
+        _, _, analysis = _kernel_pipeline(pres, args)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
     report.record("kernel-computed", True)
@@ -284,12 +275,10 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
     if not is_perfect(pres):
         raise PerfectBaseRequired("stem audit requires a perfect base group")
     try:
-        base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
-        analysis = analyze_double_kernel(data, base_group, _limits(args))
-        stem = stem_audit(data, base_group, analysis)
+        base_group, data, analysis = _kernel_pipeline(pres, args)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
+    stem = stem_audit(data, base_group, analysis)
     for name, ok in (
         ("rho-surjective", stem.rho_surjective),
         ("w-central", stem.w_central),
@@ -317,14 +306,14 @@ _IDENTITY_GROUPS = ("f2", "z3", "finite")
 
 
 def scenario_identities(args) -> tuple[list[ScenarioReport], int]:
-    from .sidki import identity_witness
-
     rng = Random(args.seed)
     digest_src = args.group
     if args.group == "finite":
         if not args.file:
             raise UsageError("--group finite requires a presentation FILE argument")
         digest_src, pres = _read_presentation(args.file)
+    elif args.file:
+        raise UsageError(f"--file is read only with --group finite, not {args.group}")
     report = ScenarioReport(
         "identities",
         _digest(digest_src, str(args.samples), *_limit_texts(args)),
@@ -373,7 +362,6 @@ def _c2_pushforward_matrix() -> tuple[RingMatrix, RingMatrix]:
 def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
     rng = Random(args.seed)
     report = ScenarioReport("ring-audit", _digest("ring-corpus"), seed=args.seed)
-    all_ok = True
 
     def key_of(carrier) -> str:
         return "".join(ch for ch in carrier.name if ch.isalnum()).lower()
@@ -388,18 +376,14 @@ def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
             ok &= kappa(x * y) == kappa(y * x)
             ok &= epsilon(x * y) == epsilon(x) * epsilon(y)
         report.record(f"trace-properties-{key_of(carrier)}", ok)
-        all_ok &= ok
 
     # conjugated diagonal idempotents over torsion-free carriers
     for carrier in (FreeAbelianCarrier(2), FreeCarrier(2)):
-        deltas = []
+        ok = True
         for n, rank in ((2, 1), (3, 2)):
-            mat = conjugated_diagonal_idempotent(carrier, rng, n, rank)
-            audit = trace_audit(mat)
-            deltas.append(audit.weak_bass_delta)
-            all_ok &= audit.all_zaleskii_pass and audit.hs_consistent
-        report.record(f"delta-zero-{key_of(carrier)}", all(d == 0 for d in deltas))
-        all_ok &= all(d == 0 for d in deltas)
+            audit = trace_audit(conjugated_diagonal_idempotent(carrier, rng, n, rank))
+            ok &= audit.weak_bass_holds and audit.all_zaleskii_pass and audit.hs_consistent
+        report.record(f"delta-zero-{key_of(carrier)}", ok)
 
     # torsion idempotents over cyclic groups: delta (n-1)/n exactly
     for n in (2, 3, 4, 6):
@@ -416,7 +400,6 @@ def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
         )
         report.record(f"torsion-delta-c{n}", ok)
         report.payload[f"deltaC{n}"] = _rat(audit.weak_bass_delta)
-        all_ok &= ok
 
     # rho pushforward preserves idempotency
     source, image = _c2_pushforward_matrix()
@@ -424,10 +407,10 @@ def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
     audit = trace_audit(image)
     ok &= audit.all_zaleskii_pass and audit.hs_consistent
     report.record("pushforward-idempotent", ok)
-    all_ok &= ok
 
-    print("ring audit:", "all pass" if all_ok else "FAILURES")
-    return [report], report.exit_code()
+    code = report.exit_code()
+    print("ring audit:", "all pass" if code == EXIT_PASS else "FAILURES")
+    return [report], code
 
 
 _REPORT_SUITE_FILES = {
@@ -524,10 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", choices=("full", "generators"), default="full")
     add_limits(p)
 
-    p = sub.add_parser("rocco", help="construct the triple-schema double V(G)")
-    p.add_argument("file")
-    add_limits(p)
-
     p = sub.add_parser("analyze-w", help="build the double and analyze ker(rho)")
     p.add_argument("file")
     add_limits(p)
@@ -559,7 +538,6 @@ _COMMANDS = {
     "parse": scenario_parse,
     "enumerate": scenario_enumerate,
     "double": scenario_double,
-    "rocco": scenario_rocco,
     "analyze-w": scenario_analyze_w,
     "stem-audit": scenario_stem_audit,
     "identities": scenario_identities,

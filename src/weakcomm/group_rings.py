@@ -239,11 +239,6 @@ def identity_matrix(carrier, n: int) -> RingMatrix:
     return RingMatrix(carrier, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
 
-def zero_matrix(carrier, n: int) -> RingMatrix:
-    zero = ring_zero(carrier)
-    return RingMatrix(carrier, [[zero] * n for _ in range(n)])
-
-
 def diagonal_matrix(carrier, diag: Sequence[RingElement]) -> RingMatrix:
     n = len(diag)
     zero = ring_zero(carrier)
@@ -489,7 +484,7 @@ def conjugated_diagonal_idempotent(
 
 
 # ---------------------------------------------------------------------------
-# Ring element literals:  coeff * word terms joined by + / -, e.g.
+# Ring element text:  coeff * word terms joined by + / -, e.g.
 # "1/2*e + 1/2*a"; rationals written p/q.
 # ---------------------------------------------------------------------------
 
@@ -505,74 +500,3 @@ def format_ring_element(x: RingElement) -> str:
         else:
             parts.append(f"+ {magnitude}" if c > 0 else f"- {magnitude}")
     return " ".join(parts)
-
-
-def parse_ring_element(carrier, text: str) -> RingElement:
-    from .carriers import parse_carrier_word
-
-    coeffs: dict = {}
-    for sign, chunk in _split_terms(text):
-        chunk = chunk.strip()
-        if not chunk:
-            raise GroupRingError("empty term in ring element literal")
-        if "*" in chunk:
-            coeff_text, word_text = chunk.split("*", 1)
-            coeff = _parse_rational(coeff_text.strip())
-        else:
-            if _looks_like_number(chunk):
-                coeff, word_text = _parse_rational(chunk), "e"
-            else:
-                coeff, word_text = Fraction(1), chunk
-        word_text = word_text.strip()
-        if word_text == "e":
-            g = carrier.identity
-        else:
-            g = parse_carrier_word(carrier, word_text)
-        coeffs[g] = coeffs.get(g, 0) + sign * coeff
-    return RingElement(carrier, coeffs)
-
-
-def _split_terms(text: str):
-    terms = []
-    sign = 1
-    current = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and not _inside_exponent(current):
-            if current and "".join(current).strip():
-                terms.append((sign, "".join(current)))
-            sign = 1 if ch == "+" else -1
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        terms.append((sign, "".join(current)))
-    if not terms:
-        raise GroupRingError("empty ring element literal")
-    return terms
-
-
-def _inside_exponent(current: list[str]) -> bool:
-    tail = "".join(current).rstrip()
-    return tail.endswith("^")
-
-
-def _looks_like_number(text: str) -> bool:
-    t = text.strip()
-    if t.startswith("-"):
-        t = t[1:]
-    return bool(t) and all(ch.isdigit() or ch == "/" for ch in t)
-
-
-def _parse_rational(text: str) -> Fraction:
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GroupRingError(f"bad rational literal {text!r}") from exc

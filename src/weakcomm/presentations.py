@@ -355,25 +355,8 @@ class GeneratorMap:
 
 
 # ---------------------------------------------------------------------------
-# Free products and direct powers
+# Direct powers
 # ---------------------------------------------------------------------------
-
-
-def free_product(p: Presentation, q: Presentation) -> Presentation:
-    """Disjoint union of generators, union of relators.  Colliding names from
-    the second factor get a numeric suffix."""
-    names = list(p.generator_names)
-    taken = set(names)
-    for name in q.generator_names:
-        candidate = name
-        k = 2
-        while candidate in taken:
-            candidate = f"{name}_{k}"
-            k += 1
-        names.append(candidate)
-        taken.add(candidate)
-    relators = list(p.relators) + [shift_word(r, p.num_generators) for r in q.relators]
-    return Presentation.make(names, relators)
 
 
 def direct_power(p: Presentation, k: int) -> Presentation:
@@ -406,14 +389,6 @@ def free_identity_decider(p: Presentation) -> Callable[[Word], bool]:
     if p.relators:
         raise PresentationError("free decider requires a presentation without relators")
     return lambda w: w.is_identity()
-
-
-def abelian_identity_decider(p: Presentation) -> Callable[[Word], bool]:
-    """Word problem of a free abelian group presented by commuting generators:
-    trivial iff all exponent sums vanish.  The caller asserts that the
-    presented group really is free abelian on the generators."""
-    n = p.num_generators
-    return lambda w: not any(w.exponent_sums(n))
 
 
 def direct_power_identity_decider(

@@ -1,5 +1,5 @@
-"""The Sidki double X(G), Rocco's V(G), the canonical maps, and the kernel
-analyses built on them.
+"""The Sidki double X(G), the canonical maps, and the kernel analyses built
+on them.
 
 Given a presentation of G with generators g_1..g_k, the double has those
 generators plus commuting partner copies (suffix ``_psi``) and relators
@@ -38,7 +38,6 @@ from .finite_groups import (
     intersect,
     kernel_and_image,
     realize,
-    regular_identity_decider,
     subgroup_generated,
 )
 from .presentations import (
@@ -112,10 +111,6 @@ class DoubleData:
     @property
     def partial(self) -> bool:
         return self.schedule is RelatorSchedule.GENERATOR_ONLY
-
-    def psi_index(self, base_index: int) -> int:
-        """Index of the partner of base generator ``base_index``."""
-        return self.base.num_generators + base_index
 
     def psi_word(self, w: Word) -> Word:
         return shift_word(w, self.base.num_generators)
@@ -301,49 +296,6 @@ def canonical_maps(
         verified[name] = True
 
     return replace(maps, verified=verified)
-
-
-def induced_double_map(
-    f: GeneratorMap, source_double: DoubleData, target_double: DoubleData
-) -> GeneratorMap:
-    """The functorial map between doubles induced by a base generator map."""
-    if f.source != source_double.base or f.target != target_double.base:
-        raise SidkiError("base map does not match the doubles")
-    g_t = target_double.base.num_generators
-    images = [f.images[i] for i in range(f.source.num_generators)]
-    images += [shift_word(f.images[i], g_t) for i in range(f.source.num_generators)]
-    return GeneratorMap(source_double.double, target_double.double, tuple(images))
-
-
-# ---------------------------------------------------------------------------
-# Rocco's construction
-# ---------------------------------------------------------------------------
-
-
-def rocco_presentation(
-    base: Presentation, elements: tuple[Word, ...] | list[Word]
-) -> Presentation:
-    """The related double with relators [g, h_psi]^(k^eps) = [g^k, (h^k)_psi]
-    over all element triples (g, h, k) and eps in {1, psi}.
-
-    Conjugates are taken as free words; duplicates and trivial relators are
-    removed by the presentation constructor."""
-    if elements is None:
-        raise ScheduleError("the construction needs an element enumeration")
-    g = base.num_generators
-    names = list(base.generator_names) + _psi_names(base)
-    relators: list[Word] = list(base.relators)
-    relators.extend(shift_word(r, g) for r in base.relators)
-    elements = tuple(elements)
-    for x in elements:
-        for y in elements:
-            base_comm = commutator(x, shift_word(y, g))
-            for k in elements:
-                for conjugator in (k, shift_word(k, g)):
-                    lhs = base_comm.conjugated_by(conjugator)
-                    rhs = commutator(x.conjugated_by(k), shift_word(y.conjugated_by(k), g))
-                    relators.append(lhs * rhs.inverse())
-    return Presentation.make(names, relators)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +674,3 @@ def torsion_probe(w: Subgroup) -> TorsionReport:
     """Element orders of a computed kernel subgroup."""
     orders = tuple(sorted(w.parent.element_order(x) for x in w.elements))
     return TorsionReport(orders)
-
-
-def torsion_report_from_orders(orders) -> TorsionReport:
-    return TorsionReport(tuple(sorted(orders)))

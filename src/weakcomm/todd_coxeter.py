@@ -463,14 +463,6 @@ def closure_audit(table: CosetTable) -> None:
         raise CosetEnumerationError("joint action is not transitive")
 
 
-def representative_words(table: CosetTable) -> list[Word]:
-    """A word per coset tracing coset 0 to it (breadth-first, standard order)."""
-    tree = spanning_tree(table, range(table.num_columns))
-    if len(tree.order) != table.num_cosets:
-        raise CosetEnumerationError("coset action is not transitive")
-    return [Word(ls) for ls in tree.letters()]
-
-
 def dump_table(table: CosetTable) -> str:
     """Text dump: header with presentation hash and subgroup words, then one
     row per coset with a column per signed generator (1-based cosets)."""

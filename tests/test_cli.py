@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -103,9 +104,8 @@ def test_double_generators_schedule_flags_partial(files, capsys, tmp_path):
     assert report["payload"]["partial"] == "true"
 
 
-def test_rocco_runs(files, capsys):
-    assert main(["rocco", files["c2"]]) == EXIT_PASS
-    assert "a_psi" in capsys.readouterr().out
+def test_rocco_is_an_unknown_command(files):
+    assert main(["rocco", files["c2"]]) == EXIT_USAGE
 
 
 def test_analyze_w_klein(files, tmp_path):
@@ -246,6 +246,13 @@ def test_identities_finite_requires_file(capsys):
     assert main(["identities", "--group", "finite"]) == EXIT_USAGE
 
 
+def test_identities_file_requires_group_finite(files, capsys):
+    assert main(["identities", "--file", files["c2"]]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--group finite" in captured.err
+    assert "samples" not in captured.out
+
+
 def test_ring_audit(tmp_path):
     out_path = tmp_path / "ring.json"
     assert main(["--json", str(out_path), "ring-audit", "--seed", "1"]) == EXIT_PASS
@@ -254,6 +261,23 @@ def test_ring_audit(tmp_path):
     assert report["payload"]["deltaC3"] == "2/3"
     assert report["payload"]["deltaC6"] == "5/6"
     assert all(v == "pass" for v in report["verdicts"].values())
+
+
+def test_ring_audit_fails_when_a_zaleskii_check_fails(tmp_path, monkeypatch, capsys):
+    # only the conjugated diagonal idempotents have n > 1
+    trace_audit = cli.trace_audit
+
+    def kappa_negative_beyond_1x1(mat):
+        audit = trace_audit(mat)
+        return replace(audit, kappa_nonnegative=False) if mat.n > 1 else audit
+
+    monkeypatch.setattr(cli, "trace_audit", kappa_negative_beyond_1x1)
+    out_path = tmp_path / "ring.json"
+    assert main(["--json", str(out_path), "ring-audit"]) == EXIT_FAIL
+    assert "ring audit: FAILURES" in capsys.readouterr().out
+    (report,) = json.loads(out_path.read_text())
+    failed = {k for k, v in report["verdicts"].items() if v != "pass"}
+    assert failed == {"delta-zero-z2", "delta-zero-f2"}
 
 
 def test_usage_error_exit_code():

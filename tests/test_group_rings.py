@@ -13,7 +13,6 @@ from weakcomm.carriers import (
     FiniteCarrier,
     FreeAbelianCarrier,
     FreeCarrier,
-    parse_carrier_word,
 )
 from weakcomm.finite_groups import realize
 from weakcomm.group_rings import (
@@ -29,7 +28,6 @@ from weakcomm.group_rings import (
     is_idempotent,
     kappa,
     monomial,
-    parse_ring_element,
     pushforward,
     random_invertible,
     random_ring_element,
@@ -37,7 +35,6 @@ from weakcomm.group_rings import (
     ring_zero,
     torsion_idempotent,
     trace_audit,
-    zero_matrix,
 )
 from weakcomm.presentations import direct_power, parse_presentation
 from weakcomm.sidki import RelatorSchedule, double_presentation
@@ -135,7 +132,7 @@ def test_trace_properties_200_pairs(c6, z2, f2, bs2):
 
 
 def test_is_idempotent_matrices(c2):
-    assert is_idempotent(zero_matrix(c2, 2))
+    assert is_idempotent(diagonal_matrix(c2, [ring_zero(c2)] * 2))
     assert is_idempotent(identity_matrix(c2, 2))
     p = torsion_idempotent(c2, 1, 2)
     assert is_idempotent(diagonal_matrix(c2, [p, ring_zero(c2)]))
@@ -234,14 +231,14 @@ def test_pushforward_collapse_merges(c2):
 
 
 def test_cancellation_leaves_empty_support(c2, z2):
-    x = parse_ring_element(z2, "2*a - 3/2*b + e")
+    x = RingElement(z2, {(1, 0): 2, (0, 1): Fraction(-3, 2), (0, 0): 1})
     a = monomial(c2, c2.group.generator_element(0))
-    a_minus_b = RingMatrix(z2, [[parse_ring_element(z2, "a - b")]])
+    a_minus_b = RingMatrix(z2, [[monomial(z2, (1, 0)) - monomial(z2, (0, 1))]])
     cancelled = [
         x + (-x),
         (ring_one(c2) - a) * (ring_one(c2) + a),
         pushforward(a_minus_b, lambda g: z2.identity, z2).entries[0][0],
-        parse_ring_element(c2, "a - a"),
+        RingElement(c2, {c2.group.generator_element(0): 0}),
     ]
     for y in cancelled:
         assert y.support() == []
@@ -319,7 +316,7 @@ def test_trace_audit_refuses_non_idempotent(c2):
 
 def test_kaplansky_dichotomy_trivials(z2):
     one = trace_audit(identity_matrix(z2, 1))
-    zero = trace_audit(zero_matrix(z2, 1))
+    zero = trace_audit(diagonal_matrix(z2, [ring_zero(z2)]))
     assert one.kaplansky_dichotomy is True
     assert zero.kaplansky_dichotomy is True
 
@@ -337,10 +334,10 @@ def test_zaleskii_on_generated_corpus(z2, f2, c6):
 
 
 def test_bs_rewriting_rule(bs2):
-    a = parse_carrier_word(bs2, "a")
-    t = parse_carrier_word(bs2, "t")
+    a = bs2.element_from_word(Word.gen(0))
+    t = bs2.element_from_word(Word.gen(1))
     lhs = bs2.mul(bs2.mul(t, a), bs2.inv(t))
-    assert lhs == parse_carrier_word(bs2, "a^2")
+    assert lhs == bs2.element_from_word(Word.gen(0) ** 2)
 
 
 def test_bs_normal_form_roundtrip(bs2):
@@ -356,7 +353,7 @@ def test_bs_normal_form_roundtrip(bs2):
 
 def test_bs_mul_against_normal_form(bs2):
     # t^-1 a t = element with normal form (1, 1, 1)
-    x = parse_carrier_word(bs2, "t^-1*a*t")
+    x = bs2.element_from_word(Word.gen(1).inverse() * Word.gen(0) * Word.gen(1))
     assert bs2.normal_form(x) == (1, 1, 1)
     assert bs2.format_element(x) == "t^-1*a*t"
 
@@ -377,7 +374,7 @@ def test_bs_non_minimal_normal_form_canonicalized(bs2):
     # q divisible by n with p, r > 0 collapses
     x = bs2.from_normal_form(1, 2, 1)
     assert bs2.normal_form(x) == (0, 1, 0)
-    assert x == parse_carrier_word(bs2, "a")
+    assert x == bs2.element_from_word(Word.gen(0))
 
 
 def test_bs_element_is_affine_pair(bs2):
@@ -488,13 +485,14 @@ def test_matrix_product_matches_oracle(name, data):
 
 
 def test_mixed_denominators_cancel_exactly(z2, c6):
-    x = parse_ring_element(z2, "1/2*e + 1/3*a")
-    y = parse_ring_element(z2, "1/2*e - 1/3*a")
+    x = RingElement(z2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 3)})
+    y = RingElement(z2, {(0, 0): Fraction(1, 2), (1, 0): Fraction(-1, 3)})
     # the a terms, -1/6 and +1/6 over the common denominator 36, cancel
-    assert x * y == parse_ring_element(z2, "1/4*e - 1/9*a^2")
+    assert x * y == RingElement(z2, {(0, 0): Fraction(1, 4), (2, 0): Fraction(-1, 9)})
     assert (x * y).support() == [(0, 0), (2, 0)]
     norm = RingElement(c6, {g: Fraction(1, 6) for g in range(6)})
-    assert (parse_ring_element(c6, "1/2*e - 1/2*a") * norm).support() == []
+    a = c6.group.generator_element(0)
+    assert (RingElement(c6, {0: Fraction(1, 2), a: Fraction(-1, 2)}) * norm).support() == []
     # entry (0, 0): 1/2 a * 1/3 b over 6 and -2/3 a * 1/4 b over 12 cancel
     half_a, two_thirds_a = monomial(z2, (1, 0), Fraction(1, 2)), monomial(z2, (1, 0), Fraction(-2, 3))
     zero = ring_zero(z2)
@@ -510,41 +508,10 @@ def test_mixed_denominators_cancel_exactly(z2, c6):
     assert product.entries[1][1] == monomial(z2, (0, 1), Fraction(1, 6))
 
 
-# -- literals ------------------------------------------------------------------
+# -- formatting ----------------------------------------------------------------
 
 
-def test_parse_ring_element_torsion(c2):
-    lit = parse_ring_element(c2, "1/2*e + 1/2*a")
-    assert lit == torsion_idempotent(c2, 1, 2)
-
-
-def test_parse_ring_element_signs(z2):
-    x = parse_ring_element(z2, "2*a - 3/2*b + a")
-    assert x.coefficient((1, 0)) == 3
-    assert x.coefficient((0, 1)) == Fraction(-3, 2)
-
-
-def test_format_parse_round_trip(c6, z2, f2):
-    rng = Random(6)
-    for carrier in (c6, z2, f2):
-        for _ in range(20):
-            x = random_ring_element(carrier, rng)
-            assert parse_ring_element(carrier, format_ring_element(x)) == x
-
-
-def test_format_zero(c2):
+def test_format_zero(c2, z2):
     assert format_ring_element(ring_zero(c2)) == "0"
-
-
-def test_parse_ring_element_rejects_garbage(c2):
-    # every input either parses (and round-trips) or raises a controlled
-    # ValueError subclass; anything else is a bug
-    rng = Random(99)
-    alphabet = "ae*+-/12^ ()"
-    for _ in range(1500):
-        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
-        try:
-            x = parse_ring_element(c2, text)
-        except ValueError:
-            continue
-        assert parse_ring_element(c2, format_ring_element(x)) == x
+    x = RingElement(z2, {(1, 0): Fraction(-1, 3), (0, 0): Fraction(1, 2)})
+    assert format_ring_element(x) == "1/2*e - 1/3*a"

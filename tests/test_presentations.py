@@ -8,11 +8,9 @@ from weakcomm.presentations import (
     PresentationError,
     PresentationSyntaxError,
     UndeclaredGeneratorError,
-    abelian_identity_decider,
     direct_power,
     direct_power_identity_decider,
     free_identity_decider,
-    free_product,
     parse_presentation,
     parse_word,
     presentation_to_text,
@@ -109,21 +107,6 @@ def test_presentation_invariants():
         Presentation.make(["a"], [Word.gen(1)])
 
 
-def test_free_product():
-    p = parse_presentation("< a | a^2 >")
-    q = parse_presentation("< b | b^3 >")
-    fp = free_product(p, q)
-    assert fp.generator_names == ("a", "b")
-    assert len(fp.relators) == 2
-    assert fp.relators[1] == Word.gen(1) ** 3
-
-
-def test_free_product_name_collision():
-    p = parse_presentation("< a | a^2 >")
-    fp = free_product(p, p)
-    assert fp.generator_names == ("a", "a_2")
-
-
 def test_direct_power_counts():
     p = parse_presentation("< a | a^2 >")
     d3 = direct_power(p, 3)
@@ -177,13 +160,6 @@ def test_free_decider():
     assert not decide(Word.gen(0))
     with pytest.raises(PresentationError):
         free_identity_decider(parse_presentation("< a | a^2 >"))
-
-
-def test_abelian_decider():
-    z2 = direct_power(parse_presentation("< a | >"), 2)
-    decide = abelian_identity_decider(z2)
-    assert decide(commutator(Word.gen(0), Word.gen(1)))
-    assert not decide(Word.gen(0))
 
 
 def test_direct_power_decider_projects():

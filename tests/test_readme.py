@@ -1,8 +1,11 @@
-"""The README's library tour runs and says what the library does."""
+"""The README's library tour runs, and the README says what the library and
+its command line do."""
 
+import argparse
 import re
 from pathlib import Path
 
+from weakcomm.cli import build_parser
 from weakcomm.finite_groups import realize
 from weakcomm.presentations import parse_presentation
 from weakcomm.sidki import SHORT_WORD_LENGTH, double_presentation
@@ -11,12 +14,16 @@ from weakcomm.todd_coxeter import enumerate_cosets
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def library_tour() -> str:
+def section_block(heading: str, language: str = "") -> str:
     text = README.read_text(encoding="utf-8")
-    section = text[text.index("## Library tour") :]
-    match = re.search(r"```python\n(.*?)```", section, re.S)
-    assert match, "no python block under 'Library tour'"
+    section = text[text.index(heading) :]
+    match = re.search(rf"```{language}\n(.*?)```", section, re.S)
+    assert match, f"no {language or 'plain'} block under {heading!r}"
     return match.group(1)
+
+
+def library_tour() -> str:
+    return section_block("## Library tour", "python")
 
 
 def test_library_tour_prints_the_a5_double(capsys):
@@ -34,3 +41,9 @@ def test_library_tour_counts_the_a5_commutators():
     assert data.certificate is True
     assert len(data.double.relators) - 2 * len(p.relators) == short
     assert sum(len(w) > SHORT_WORD_LENGTH for w in words) == certified
+
+
+def test_command_line_block_lists_the_parser_subcommands():
+    listed = {line.split()[1] for line in section_block("## Command line").splitlines()}
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert listed == set(subparsers.choices)

@@ -19,7 +19,7 @@ from weakcomm.todd_coxeter import (
     closure_audit,
     dump_table,
     enumerate_cosets,
-    representative_words,
+    spanning_tree,
     standardize,
     word_image,
 )
@@ -192,8 +192,10 @@ def test_determinism_byte_identical():
 def test_representative_words_trace_correctly():
     p = parse_presentation(A5_TEXT)
     table = enumerate_cosets(p, [parse_word("b", p)])
-    for coset, w in enumerate(representative_words(table)):
-        assert table.trace(0, w) == coset
+    tree = spanning_tree(table, range(table.num_columns))
+    assert len(tree.order) == table.num_cosets
+    for coset, letters in enumerate(tree.letters()):
+        assert table.trace(0, Word(letters)) == coset
 
 
 def test_dump_has_header_and_rows():
