@@ -55,6 +55,7 @@ from .todd_coxeter import (
     CosetTable,
     EnumerationLimits,
     LimitExceeded,
+    closure_audit,
     dump_table,
     enumerate_cosets,
     standardize,
@@ -191,8 +192,14 @@ def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
         table = enumerate_cosets(pres, subgroup, _limits(args))
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
-    table = standardize(table)
+    try:
+        closure_audit(table)
+    except CosetEnumerationError as exc:
+        report.record("enumeration", False)
+        print(f"closure audit: {exc}")
+        return [report], report.exit_code()
     report.record("enumeration", True)
+    table = standardize(table)
     _record_table(report, table)
     print(f"index: {table.num_cosets}")
     if args.dump_table:

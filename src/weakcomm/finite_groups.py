@@ -3,14 +3,17 @@ trivial subgroup (regular action), with subgroup generation, kernels, and
 basic structure queries.
 
 Element 0 is the identity; the element words are shortlex over the positive
-generators (breadth-first Cayley search in declared generator order).
+generators (breadth-first Cayley search in declared generator order).  The
+group keeps that search's spanning tree, so a whole-group table (a left
+translate, conjugation by a generator, a homomorphism's values) is carried
+along the tree edges in O(|G|) steps instead of one word walk per element.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .presentations import Presentation
 from .todd_coxeter import CosetTable, spanning_tree
@@ -31,6 +34,12 @@ class FiniteGroup:
     gen_perms: tuple[tuple[int, ...], ...]
     inv_gen_perms: tuple[tuple[int, ...], ...]
     words: tuple[Word, ...]
+    # The breadth-first spanning tree behind ``words``: the elements in visit
+    # order, and per element y > 0 its parent and the generator i of the tree
+    # edge, y = parent[y] * g_i (the identity has generator -1).
+    tree_order: tuple[int, ...]
+    tree_parent: tuple[int, ...]
+    tree_generator: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -67,9 +76,6 @@ class FiniteGroup:
             z = ip[i][z]
         return z
 
-    def conjugate(self, x: int, by: int) -> int:
-        return self.mul(self.mul(self.inv(by), x), by)
-
     def commutator(self, x: int, y: int) -> int:
         return self.mul(self.inv(self.mul(y, x)), self.mul(x, y))
 
@@ -81,6 +87,30 @@ class FiniteGroup:
             n += 1
         return n
 
+    def along_tree(self, root: int, steps: Sequence[Sequence[int]]) -> list[int]:
+        """The table t with t[0] = root and t[y] = steps[i][t[parent]] for
+        each tree edge parent -> y by generator i.  With ``gen_perms`` as
+        steps it is the left translate x -> root * x."""
+        table = [root] * self.order
+        parent = self.tree_parent
+        generator = self.tree_generator
+        for y in self.tree_order[1:]:
+            table[y] = steps[generator[y]][table[parent[y]]]
+        return table
+
+    def right_multiplication(self, x: int) -> tuple[int, ...]:
+        """The permutation z -> z * x: the generator columns along the word
+        of x, composed with ``map``."""
+        perm: Iterable[int] = range(self.order)
+        for i, _ in self.words[x].letters:
+            perm = map(self.gen_perms[i].__getitem__, perm)
+        return tuple(perm)
+
+    def conjugation_table(self, j: int) -> tuple[int, ...]:
+        """The permutation x -> g_j^-1 * x * g_j."""
+        left = self.along_tree(self.inv_gen_perms[j][0], self.gen_perms)
+        return tuple(map(self.gen_perms[j].__getitem__, left))
+
 
 def realize(table: CosetTable) -> FiniteGroup:
     """Turn a closed table over the trivial subgroup into a concrete group."""
@@ -88,13 +118,27 @@ def realize(table: CosetTable) -> FiniteGroup:
         raise FiniteGroupError("realize requires a table over the trivial subgroup")
     g = table.presentation.num_generators
     n = table.num_cosets
-    gen_perms = tuple(table.column(2 * i) for i in range(g))
-    inv_perms = tuple(table.column(2 * i + 1) for i in range(g))
+    columns = tuple(zip(*table.rows))
     tree = spanning_tree(table, range(0, 2 * g, 2))  # positive letters only
     if len(tree.order) != n:
         raise FiniteGroupError("generators do not reach every coset")
-    words = tuple(Word(ls) for ls in tree.letters())
-    return FiniteGroup(table.presentation, gen_perms, inv_perms, words)
+    parent = tuple(tree.parent)
+    generator = tuple(c // 2 for c in tree.column)
+    # a tree word extends its parent's by one positive letter, so it is
+    # reduced already; the product only appends the shared letter
+    letters = [Word.gen(i) for i in range(g)]
+    words = [Word.identity()] * n
+    for y in tree.order[1:]:
+        words[y] = words[parent[y]] * letters[generator[y]]
+    return FiniteGroup(
+        table.presentation,
+        columns[0::2],
+        columns[1::2],
+        tuple(words),
+        tuple(tree.order),
+        parent,
+        generator,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,27 +160,48 @@ class Subgroup:
     def contains(self, x: int) -> bool:
         return x in self._members  # type: ignore[attr-defined]
 
-    def is_central(self) -> bool:
-        """True when every element commutes with every group generator."""
-        G = self.parent
-        gens = [G.generator_element(i) for i in range(G.presentation.num_generators)]
-        return all(
-            G.mul(s, k) == G.mul(k, s) for s in self.elements for k in gens
-        )
+
+class _Generated:
+    """A subgroup grown one generator at a time.  ``elements`` (identity
+    first) is closed under right multiplication by every generator added so
+    far, each walked as the generator columns along its word."""
+
+    def __init__(self, G: FiniteGroup):
+        self.group = G
+        self.elements = [0]
+        self.members = {0}
+        self.walks: list[list[tuple[int, ...]]] = []
+
+    def add(self, k: int) -> bool:
+        """Join k to the generators; False when k is already a member."""
+        if k in self.members:
+            return False
+        gp = self.group.gen_perms
+        self.walks.append([gp[i] for i, _ in self.group.words[k].letters])
+        old = len(self.elements)
+        # the old elements are closed under the old generators, so they need
+        # only the new one; each new element needs every generator
+        self._extend(self.elements[:old], self.walks[-1:])
+        self._extend(islice(self.elements, old, None), self.walks)
+        return True
+
+    def _extend(self, xs: Iterable[int], walks: list[list[tuple[int, ...]]]) -> None:
+        elements, members = self.elements, self.members
+        for x in xs:  # may be a scan of ``elements`` that takes in what it appends
+            for walk in walks:
+                y = x
+                for perm in walk:
+                    y = perm[y]
+                if y not in members:
+                    members.add(y)
+                    elements.append(y)
 
 
 def _closure(G: FiniteGroup, gens: Iterable[int]) -> list[int]:
-    gen_list = [x for x in dict.fromkeys(gens) if x != 0]
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for k in gen_list:
-            y = G.mul(x, k)
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return sorted(seen)
+    sub = _Generated(G)
+    for k in gens:
+        sub.add(k)
+    return sorted(sub.elements)
 
 
 def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -144,29 +209,26 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def normal_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    group_gens = [G.generator_element(i) for i in range(G.presentation.num_generators)]
-    current = list(gens)
-    while True:
-        elements = _closure(G, current)
-        members = set(elements)
-        new = []
-        for s in elements:
-            for k in group_gens:
-                t = G.conjugate(s, k)
-                if t not in members:
-                    members.add(t)
-                    new.append(t)
-        if not new:
-            return Subgroup(G, tuple(sorted(members)))
-        current.extend(new)
+    """The smallest normal subgroup containing ``gens``.  Only the gathered
+    generators are conjugated: a subgroup is normal once the conjugate of
+    each of its generators by each group generator lies in it."""
+    gp, ip = G.gen_perms, G.inv_gen_perms
+    sub = _Generated(G)
+    pending = list(gens)
+    while pending:
+        s = pending.pop()
+        if sub.add(s):
+            pending += [gp[j][G.mul(ip[j][0], s)] for j in range(len(gp))]
+    return Subgroup(G, tuple(sorted(sub.elements)))
 
 
 def center(G: FiniteGroup) -> Subgroup:
-    gens = [G.generator_element(i) for i in range(G.presentation.num_generators)]
-    elems = [
-        x for x in G.elements() if all(G.mul(x, k) == G.mul(k, x) for k in gens)
-    ]
-    return Subgroup(G, tuple(elems))
+    """The elements fixed by conjugation with every generator."""
+    central: Iterable[int] = G.elements()
+    for j in range(G.presentation.num_generators):
+        t = G.conjugation_table(j)
+        central = [x for x in central if t[x] == x]
+    return Subgroup(G, tuple(central))
 
 
 def derived_subgroup(G: FiniteGroup) -> Subgroup:
@@ -182,24 +244,20 @@ def derived_subgroup(G: FiniteGroup) -> Subgroup:
 def conjugacy_classes(G: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """Partition into conjugacy classes, each sorted, listed by least element;
     the least element is the canonical representative."""
-    gens = [G.generator_element(i) for i in range(G.presentation.num_generators)]
-    n = G.order
-    seen = [False] * n
+    tables = [G.conjugation_table(j) for j in range(G.presentation.num_generators)]
+    seen = [False] * G.order
     classes = []
-    for x in range(n):
+    for x in G.elements():
         if seen[x]:
             continue
-        orbit = [x]
         seen[x] = True
-        queue = deque([x])
-        while queue:
-            z = queue.popleft()
-            for k in gens:
-                w = G.conjugate(z, k)
+        orbit = [x]
+        for z in orbit:  # the scan takes in what it appends
+            for t in tables:
+                w = t[z]
                 if not seen[w]:
                     seen[w] = True
                     orbit.append(w)
-                    queue.append(w)
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
 
@@ -246,6 +304,12 @@ class FiniteHom:
             z = T.mul(z, self.images[i])
         return z
 
+    def values(self) -> list[int]:
+        """The image of every source element, carried along the source's
+        spanning tree: h(x * g_i) = h(x) * images[i]."""
+        T = self.target
+        return self.source.along_tree(0, [T.right_multiplication(k) for k in self.images])
+
     def verify(self) -> bool:
         """True iff every source relator maps to the identity of the target."""
         T = self.target
@@ -262,9 +326,9 @@ class FiniteHom:
 def kernel_and_image(h: FiniteHom) -> tuple[Subgroup, Subgroup]:
     if not h.verify():
         raise InvalidHomomorphismError("generator images do not satisfy the relators")
-    kernel_elems = [x for x in h.source.elements() if h.apply(x) == 0]
-    kernel = subgroup_from_elements(h.source, kernel_elems)
-    image = subgroup_generated(h.target, h.images)
+    values = h.values()
+    kernel = subgroup_from_elements(h.source, [x for x, v in enumerate(values) if v == 0])
+    image = Subgroup(h.target, tuple(sorted(set(values))))
     if kernel.order * image.order != h.source.order:
         raise FiniteGroupError("kernel/image sizes violate Lagrange bookkeeping")
     return kernel, image

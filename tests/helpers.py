@@ -6,7 +6,9 @@ invariant-factor products are cross-checked against gcds of k x k minors,
 the FULL double is written out letter by letter, without
 ``weakcomm.sidki``, and group-ring products are summed term by term in
 ``Fraction``s over dicts, without ``weakcomm.group_rings`` or
-``weakcomm.carriers``.
+``weakcomm.carriers``.  Realized groups are checked through
+:class:`PermutationOracle`, which multiplies elements as composed
+permutations and runs no ``weakcomm.finite_groups`` algorithm.
 """
 
 from __future__ import annotations
@@ -156,6 +158,88 @@ def full_double_oracle(base: Presentation, element_words) -> Presentation:
             relators.append(inverse(u) + inverse(v) + u + v)
     names = list(base.generator_names) + [name + "_psi" for name in base.generator_names]
     return Presentation.make(names, [Word(r) for r in relators])
+
+
+# -- realized groups ------------------------------------------------------------
+
+
+class PermutationOracle:
+    """A realized group read only through its generator permutations and its
+    element words: element x acts on the elements as z -> z * x, the
+    composition of the generator permutations along the word of x.  Every
+    query below is brute force over these permutations."""
+
+    def __init__(self, gen_perms, words):
+        degree = len(words)
+        inverses = [perm_inverse(p) for p in gen_perms]
+        self.perms = []
+        for w in words:
+            perm = perm_identity(degree)
+            for i, s in w.letters:
+                perm = perm_compose(perm, gen_perms[i] if s == 1 else inverses[i])
+            self.perms.append(perm)
+        self.words = words
+        self.order = degree
+
+    @classmethod
+    def of(cls, group):
+        return cls(group.gen_perms, group.words)
+
+    def element(self, perm) -> int:
+        """The element acting as ``perm``: the image of the identity."""
+        return perm[0]
+
+    def mul(self, x: int, y: int) -> int:
+        return self.element(perm_compose(self.perms[x], self.perms[y]))
+
+    def inv(self, x: int) -> int:
+        return self.element(perm_inverse(self.perms[x]))
+
+    def conjugate(self, x: int, by: int) -> int:
+        return self.mul(self.mul(self.inv(by), x), by)
+
+    def generated(self, gens) -> tuple[int, ...]:
+        found = {0}
+        queue = [0]
+        while queue:
+            x = queue.pop()
+            for k in gens:
+                y = self.mul(x, k)
+                if y not in found:
+                    found.add(y)
+                    queue.append(y)
+        return tuple(sorted(found))
+
+    def normal_closure(self, gens) -> tuple[int, ...]:
+        return self.generated({self.conjugate(s, y) for s in gens for y in range(self.order)})
+
+    def derived(self) -> tuple[int, ...]:
+        elements = range(self.order)
+        return self.generated(
+            {self.mul(self.inv(self.mul(y, x)), self.mul(x, y)) for x in elements for y in elements}
+        )
+
+    def center(self) -> tuple[int, ...]:
+        elements = range(self.order)
+        return tuple(x for x in elements if all(self.mul(x, y) == self.mul(y, x) for y in elements))
+
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        out = {}
+        for x in range(self.order):
+            cls = tuple(sorted({self.conjugate(x, y) for y in range(self.order)}))
+            out[cls[0]] = cls
+        return tuple(out[rep] for rep in sorted(out))
+
+    def hom_values(self, target: "PermutationOracle", images) -> list[int]:
+        """The value at each element, evaluated along its word, of the map
+        that sends generator i to ``images[i]`` in ``target``."""
+        values = []
+        for w in self.words:
+            z = 0
+            for i, s in w.letters:
+                z = target.mul(z, images[i] if s == 1 else target.inv(images[i]))
+            values.append(z)
+        return values
 
 
 # -- group rings ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import weakcomm.cli as cli
 import weakcomm.sidki as sidki
 from weakcomm.finite_groups import realize, subgroup_generated
 from weakcomm.presentations import parse_presentation
-from weakcomm.todd_coxeter import LimitExceeded, enumerate_cosets
+from weakcomm.todd_coxeter import CosetTable, LimitExceeded, enumerate_cosets
 from weakcomm.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -61,6 +61,19 @@ def test_enumerate_limit_is_inconclusive(files, capsys):
     out = capsys.readouterr().out
     assert "inconclusive" in out
     assert "infinite" not in out
+
+
+def test_enumerate_fails_on_a_table_that_breaks_a_relator(files, tmp_path, monkeypatch, capsys):
+    # closed, but a acts as a 3-cycle, so the relator a^2 does not act trivially
+    def three_cycle(pres, subgroup=(), limits=None):
+        return CosetTable(pres, tuple(subgroup), ((1, 2), (2, 0), (0, 1)))
+
+    monkeypatch.setattr(cli, "enumerate_cosets", three_cycle)
+    out = tmp_path / "out.json"
+    assert main(["enumerate", files["c2"], "--json", str(out)]) == EXIT_FAIL
+    assert "closure audit" in capsys.readouterr().out
+    [report] = json.loads(out.read_text())
+    assert report["verdicts"] == {"enumeration": "fail"}
 
 
 def test_enumerate_dump_table(files, tmp_path):

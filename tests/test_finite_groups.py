@@ -1,5 +1,8 @@
+from random import Random
+
 import pytest
 
+from helpers import PermutationOracle
 from weakcomm.finite_groups import (
     FiniteGroupError,
     FiniteHom,
@@ -14,7 +17,8 @@ from weakcomm.finite_groups import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from weakcomm.presentations import parse_presentation, parse_word
+from weakcomm.presentations import direct_power, parse_presentation, parse_word
+from weakcomm.sidki import RelatorSchedule, double_presentation, rho_on_elements
 from weakcomm.smith import is_perfect
 from weakcomm.todd_coxeter import enumerate_cosets
 from weakcomm.words import Word
@@ -176,12 +180,7 @@ def test_derived_subgroup_s3(s3):
 def test_conjugacy_classes_s3(s3):
     classes = conjugacy_classes(s3)
     assert sorted(len(c) for c in classes) == [1, 2, 3]
-    # brute-force conjugation oracle
-    for cls in classes:
-        rep = cls[0]
-        orbit = {s3.conjugate(rep, by) for by in s3.elements()}
-        assert tuple(sorted(orbit)) == cls
-    assert sum(len(c) for c in classes) == 6
+    assert classes == PermutationOracle.of(s3).classes()
 
 
 def test_class_equation_a5(a5):
@@ -208,8 +207,9 @@ def test_is_central():
     assert g.order == 8
     sq = subgroup_generated(g, [g.mul(g.generator_element(0), g.generator_element(0))])
     assert sq.order == 2
-    assert sq.is_central()
-    assert not subgroup_generated(g, [g.generator_element(0)]).is_central()
+    central = PermutationOracle.of(g).center()
+    assert center(g).elements == sq.elements == central
+    assert not set(subgroup_generated(g, [g.generator_element(0)]).elements) <= set(central)
 
 
 def test_subgroup_from_elements_validates_closure(s3):
@@ -221,3 +221,104 @@ def test_regular_identity_decider(s3):
     decide = regular_identity_decider(s3)
     assert decide(Word.gen(0) ** 2)
     assert not decide(Word.gen(0))
+
+
+# -- whole-group tables against the permutation oracle --------------------------
+
+BASES = {
+    "S3": "< a, b | a^2, b^3, (a*b)^2 >",
+    "D4": "< a, b | a^2, b^4, (a*b)^2 >",
+    "Q8": "< a, b | a^4, a^2*b^-2, b^-1*a*b*a >",
+    "A4": "< a, b | a^2, b^3, (a*b)^3 >",
+    "S4": "< a, b | a^2, b^3, (a*b)^4 >",
+}
+DOUBLES = {"X(Klein)": "< a, b | a^2, b^2, [a,b] >", "X(S3)": BASES["S3"]}
+
+
+def _double_of(text):
+    p = parse_presentation(text)
+    data = double_presentation(p, group(text).words, RelatorSchedule.FULL)
+    return data, realize(enumerate_cosets(data.double))
+
+
+@pytest.fixture(scope="module", params=list(BASES) + list(DOUBLES))
+def realized(request):
+    """(name, realized group, its permutation oracle)"""
+    name = request.param
+    g = group(BASES[name]) if name in BASES else _double_of(DOUBLES[name])[1]
+    return name, g, PermutationOracle.of(g)
+
+
+def test_oracle_reads_back_every_element(realized):
+    _, g, oracle = realized
+    assert [oracle.element(p) for p in oracle.perms] == list(g.elements())
+
+
+def test_conjugacy_classes_match_oracle(realized):
+    _, g, oracle = realized
+    assert conjugacy_classes(g) == oracle.classes()
+
+
+def test_center_matches_oracle(realized):
+    _, g, oracle = realized
+    assert center(g).elements == oracle.center()
+
+
+def test_derived_subgroup_matches_oracle(realized):
+    _, g, oracle = realized
+    assert derived_subgroup(g).elements == oracle.derived()
+
+
+def test_normal_closure_matches_oracle(realized):
+    name, g, oracle = realized
+    rng = Random(f"normal-closure/{name}")
+    for size in (1, 1, 2, 3):
+        gens = [rng.randrange(g.order) for _ in range(size)]
+        assert normal_closure(g, gens).elements == oracle.normal_closure(gens), gens
+
+
+def test_kernel_and_image_match_oracle(realized):
+    name, g, oracle = realized
+    rng = Random(f"kernel/{name}")
+    targets = [(g, oracle, tuple(g.generator_element(i) for i in range(len(g.gen_perms))))]
+    if name in DOUBLES:
+        data, _ = _double_of(DOUBLES[name])
+        triple = realize(enumerate_cosets(direct_power(data.base, 3)))
+        rho = rho_on_elements(data, g, triple)
+        targets.append((triple, PermutationOracle.of(triple), rho.images))
+    else:
+        # maps onto cyclic groups, kept when the images satisfy the relators
+        for m in (2, 3, 4):
+            c = group(f"< t | t^{m} >")
+            for _ in range(6):
+                images = tuple(rng.randrange(m) for _ in g.gen_perms)
+                if FiniteHom(g, c, images).verify():
+                    targets.append((c, PermutationOracle.of(c), images))
+    assert len(targets) > 1
+    for target, target_oracle, images in targets:
+        kernel, image = kernel_and_image(FiniteHom(g, target, images))
+        values = oracle.hom_values(target_oracle, images)
+        assert kernel.elements == tuple(x for x, v in enumerate(values) if v == 0)
+        assert image.elements == tuple(sorted(set(values)))
+
+
+def test_realize_words_are_shortlex_reduced_and_shared(realized):
+    _, g, _ = realized
+    # shortlex-least words by levels: a level's words extend the previous
+    # level's in lexicographic order, and the first to reach an element wins
+    least = {0: ()}
+    level = [((), 0)]
+    while level:
+        following = []
+        for letters, x in level:
+            for i, perm in enumerate(g.gen_perms):
+                y = perm[x]
+                if y not in least:
+                    least[y] = letters + ((i, 1),)
+                    following.append((least[y], y))
+        level = following
+    assert [w.letters for w in g.words] == [least[x] for x in g.elements()]
+    # positive letters only, so freely reduced; and the letter objects are the
+    # ones every word shares
+    shared = [Word.gen(i).letters[0] for i in range(len(g.gen_perms))]
+    assert all(letter is shared[letter[0]] for w in g.words for letter in w.letters)

@@ -6,6 +6,7 @@ import pytest
 
 import weakcomm.sidki as sidki
 from helpers import (
+    PermutationOracle,
     a5_permutation_model,
     full_double_oracle,
     group_order_orbit_stabilizer,
@@ -379,7 +380,8 @@ def test_kernel_analysis_matches_realized_path(klein_double):
     assert analysis.x_order == x_group.order == 32
     assert analysis.w_order == fam.w.order == 2
     assert analysis.w_element_orders == torsion_probe(fam.w).orders
-    assert analysis.w_central == fam.w.is_central()
+    w_central = set(fam.w.elements) <= set(PermutationOracle.of(x_group).center())
+    assert analysis.w_central == w_central
     assert analysis.w_abelian
     assert analysis.lagrange_consistent
     # im(rho) = pairs (g, gh, h): order |G|^2
