@@ -75,9 +75,6 @@ class FiniteCarrier:
     def generator_names(self) -> tuple[str, ...]:
         return self.group.presentation.generator_names
 
-    def element_from_word(self, w: Word) -> int:
-        return self.group.evaluate(w)
-
     def format_element(self, x: int) -> str:
         return word_to_text(self.group.words[x], self.generator_names())
 
@@ -126,14 +123,6 @@ class FreeAbelianCarrier:
 
     def generator_names(self) -> tuple[str, ...]:
         return self.names
-
-    def element_from_word(self, w: Word):
-        out = [0] * self.rank
-        for i, s in w.letters:
-            if i >= self.rank:
-                raise CarrierError("word index out of range")
-            out[i] += s
-        return tuple(out)
 
     def format_element(self, x) -> str:
         if all(v == 0 for v in x):
@@ -192,11 +181,6 @@ class FreeCarrier:
 
     def generator_names(self) -> tuple[str, ...]:
         return self.names
-
-    def element_from_word(self, w: Word) -> Word:
-        if w.max_index() >= self.rank:
-            raise CarrierError("word index out of range")
-        return w
 
     def format_element(self, x: Word) -> str:
         return word_to_text(x, self.names)
@@ -275,18 +259,6 @@ class BaumslagSolitarCarrier:
 
     def generator_names(self) -> tuple[str, ...]:
         return ("a", "t")
-
-    def element_from_word(self, w: Word) -> BSElement:
-        a = BSElement(Fraction(1), 0)
-        t = BSElement(Fraction(0), 1)
-        gens = (a, t)
-        out = self.identity
-        for i, s in w.letters:
-            if i >= 2:
-                raise CarrierError("word index out of range")
-            g = gens[i] if s == 1 else self.inv(gens[i])
-            out = self.mul(out, g)
-        return out
 
     def normal_form(self, x: BSElement) -> tuple[int, int, int]:
         """The triple (p, q, r) with x = t^-p a^q t^r."""

@@ -258,6 +258,11 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
         _, _, analysis = _kernel_pipeline(pres, args)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
+    except SidkiError as exc:  # a certificate of the kernel stage failed
+        report.record("kernel-computed", False)
+        report.payload["kernelError"] = str(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return [report], report.exit_code()
     report.record("kernel-computed", True)
     report.record("lagrange", analysis.lagrange_consistent)
     report.record("w-abelian", analysis.w_abelian)

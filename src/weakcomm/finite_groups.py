@@ -151,14 +151,10 @@ class Subgroup:
             raise FiniteGroupError("a subgroup must contain the identity")
         if tuple(sorted(self.elements)) != self.elements:
             raise FiniteGroupError("subgroup elements must be sorted")
-        object.__setattr__(self, "_members", frozenset(self.elements))
 
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, x: int) -> bool:
-        return x in self._members  # type: ignore[attr-defined]
 
 
 class _Generated:

@@ -302,13 +302,6 @@ class ClassFunction:
     carrier: object
     values: tuple[tuple[object, Fraction], ...]  # sorted by carrier sort key
 
-    def at(self, x) -> Fraction:
-        rep = self.carrier.canonical_class(x)  # type: ignore[attr-defined]
-        for g, c in self.values:
-            if g == rep:
-                return c
-        return Fraction(0)
-
     def at_identity(self) -> Fraction:
         for g, c in self.values:
             if g == self.carrier.identity:  # type: ignore[attr-defined]

@@ -25,9 +25,9 @@ embeddings iota, iota_psi.
 from __future__ import annotations
 
 import enum
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field, replace
-from math import lcm
+from functools import reduce
 from typing import Callable
 
 from .finite_groups import (
@@ -37,6 +37,7 @@ from .finite_groups import (
     derived_subgroup,
     intersect,
     kernel_and_image,
+    normal_closure,
     realize,
     subgroup_generated,
 )
@@ -56,7 +57,7 @@ from .todd_coxeter import (
     LimitExceeded,
     enumerate_cosets,
     spanning_tree,
-    word_image,
+    word_columns,
 )
 from .words import Word, commutator, shift_word
 
@@ -313,8 +314,6 @@ def rho_on_elements(
 
 @dataclass(frozen=True)
 class SubgroupFamilies:
-    l_generator_words: tuple[Word, ...]
-    d_generator_words: tuple[Word, ...]
     l: Subgroup
     d: Subgroup
     w: Subgroup
@@ -326,7 +325,10 @@ def subgroup_families(
 ) -> SubgroupFamilies:
     """Compute L (generated by all w^-1 w_psi), D (generated by all
     commutators [x, y_psi]), and W = ker(rho), inside a realized double of a
-    finite base.  Raises when the computed kernel differs from D meet L."""
+    finite base.  Raises when the computed kernel differs from D meet L.
+
+    D = [iota(G), iota_psi(G)] is the normal closure in X of the commutators
+    [g_i, g_j_psi] of generators, because X is generated by both copies."""
     if data.schedule is not RelatorSchedule.FULL or data.element_words is None:
         raise SidkiError("subgroup families need the FULL schedule of a finite base")
     if x_group.presentation != data.double:
@@ -334,24 +336,20 @@ def subgroup_families(
     if triple_group is None:
         triple_group = realize(enumerate_cosets(direct_power(data.base, 3)))
 
-    words = data.element_words
-    l_words = tuple(
-        w.inverse() * data.psi_word(w) for w in words if not w.is_identity()
+    l_sub = subgroup_generated(
+        x_group, [x_group.evaluate(w.inverse() * data.psi_word(w)) for w in data.element_words]
     )
-    d_words = tuple(
-        commutator(x, data.psi_word(y))
-        for x in words
-        for y in words
-        if not (x.is_identity() or y.is_identity())
+    g = data.base.num_generators
+    gen = x_group.generator_element
+    d_sub = normal_closure(
+        x_group, [x_group.commutator(gen(i), gen(g + j)) for i in range(g) for j in range(g)]
     )
-    l_sub = subgroup_generated(x_group, [x_group.evaluate(w) for w in l_words])
-    d_sub = subgroup_generated(x_group, [x_group.evaluate(w) for w in d_words])
 
     rho_hom = rho_on_elements(data, x_group, triple_group)
     w_sub, _ = kernel_and_image(rho_hom)
     if intersect(d_sub, l_sub).elements != w_sub.elements:
         raise SidkiError("kernel of rho differs from the intersection of D and L")
-    return SubgroupFamilies(l_words, d_words, l_sub, d_sub, w_sub, rho_hom)
+    return SubgroupFamilies(l_sub, d_sub, w_sub, rho_hom)
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +404,10 @@ def identity_witness(carrier, u, v, x, y) -> bool:
 class KernelAnalysis:
     """ker(rho) extracted from the enumeration of the double over iota_psi(G).
 
-    The pair (coset action, rho) is faithful on the double because rho is
-    injective on iota_psi(G), so commutation and element orders may be read
-    off the coset permutations of kernel elements."""
+    W meets iota_psi(G) trivially, because rho is injective on
+    iota_psi(G); so an element of W is trivial iff it fixes coset 0.  Closure, commutation
+    and element orders are read from traces of kernel words from coset 0,
+    never from coset permutations."""
 
     index: int
     base_order: int
@@ -475,32 +474,26 @@ def analyze_double_kernel(
 
     # kernel elements: cosets whose representative maps to (e, q, q); the
     # unique element of ker(rho) in that coset is iota_psi(q^-1) * rep.
+    w_cosets: list[int] = []
     w_words: list[Word] = []
     for c in range(n):
         p_, q_, r_ = rho_rep[c]  # type: ignore[misc]
         if p_ == 0 and q_ == r_:
             correction = data.psi_word(base_group.words[base_group.inv(q_)])
+            w_cosets.append(c)
             w_words.append(correction * Word(rep_letters[c]))
     w_order = len(w_words)
 
-    w_perms = [word_image(table, w) for w in w_words]
-    perm_set = set(w_perms)
-    if len(perm_set) != w_order:
-        raise SidkiError("kernel extraction produced duplicate elements")
-    for p1 in w_perms:
-        for p2 in w_perms:
-            if tuple(p2[z] for z in p1) not in perm_set:
-                raise SidkiError("kernel extraction is not closed under products")
-
-    w_orders = tuple(sorted(_perm_order(p) for p in w_perms))
+    gens = _kernel_generators(table, w_cosets, w_words, step)
+    w_orders = tuple(sorted(_coset_order(table, w) for w in w_words))
     w_abelian = all(
-        [p2[z] for z in p1] == [p1[z] for z in p2] for p1 in w_perms for p2 in w_perms
+        table.trace(0, commutator(s, t)) == 0 for i, s in enumerate(gens) for t in gens[:i]
     )
-    gen_cols = [table.column(2 * i) for i in range(data.double.num_generators)]
+    # W is normal, so it is central iff its generators commute with X's
     w_central = all(
-        [col[z] for z in p] == [p[col[z]] for z in range(n)]
-        for p in w_perms
-        for col in gen_cols
+        table.trace(0, commutator(s, Word.gen(x))) == 0
+        for s in gens
+        for x in range(data.double.num_generators)
     )
 
     rho_image_order = _rho_image_order(base_group, g, step)
@@ -524,21 +517,46 @@ def analyze_double_kernel(
     )
 
 
-def _perm_order(perm: list[int]) -> int:
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for start in range(n):
-        if seen[start]:
+def _kernel_generators(
+    table: CosetTable, cosets: list[int], words: list[Word], step
+) -> list[Word]:
+    """Generators of W picked greedily from ``words``, where ``words[i]``
+    names the kernel coset ``cosets[i]``; ``step`` moves a rho triple by a
+    column.  Raises unless each word maps to (e, e, e) under rho and takes
+    coset 0 to its coset, and unless the products of the generators, traced
+    from coset 0, stay in the kernel cosets.  As W meets iota_psi(G)
+    trivially, the words are then |W| distinct elements of W, and the
+    generators generate W.  Costs O(|W| * |generators| * max |w|) steps."""
+    kernel = set(cosets)
+    gens: list[Word] = []
+    orbit = [0]  # the cosets 0 * x for x in <gens>
+    reached = {0}
+    for c, w in zip(cosets, words):
+        if reduce(step, word_columns(w), (0, 0, 0)) != (0, 0, 0) or table.trace(0, w) != c:
+            raise SidkiError("a kernel word is not the element of ker(rho) in its coset")
+        if c in reached:
             continue
-        length = 0
-        z = start
-        while not seen[z]:
-            seen[z] = True
-            z = perm[z]
-            length += 1
-        order = lcm(order, length)
-    return order
+        gens.append(w)
+        # the new generator on the old orbit, every generator on what is new
+        old = len(orbit)
+        for i, x in enumerate(orbit):  # the orbit grows while it is scanned
+            for s in gens if i >= old else gens[-1:]:
+                y = table.trace(x, s)
+                if y not in reached:
+                    if y not in kernel:
+                        raise SidkiError("kernel extraction is not closed under products")
+                    reached.add(y)
+                    orbit.append(y)
+    return gens
+
+
+def _coset_order(table: CosetTable, w: Word) -> int:
+    """The order of an element w of W: the least k with 0 * w^k = 0."""
+    k, coset = 1, table.trace(0, w)
+    while coset != 0:
+        coset = table.trace(coset, w)
+        k += 1
+    return k
 
 
 def _rho_image_order(base_group: FiniteGroup, g: int, step) -> int:
@@ -602,16 +620,6 @@ class StemReport:
         stem = self.w_central and self.w_in_derived is True
         return stem == self.x_perfect
 
-    @property
-    def all_pass(self) -> bool:
-        return (
-            self.rho_surjective
-            and self.w_central
-            and self.w_in_derived is True
-            and self.x_perfect
-            and self.lagrange_consistent
-        )
-
 
 def stem_audit(
     data: DoubleData,
@@ -657,17 +665,6 @@ def stem_audit(
 @dataclass(frozen=True)
 class TorsionReport:
     orders: tuple[int, ...]  # sorted, one per element
-
-    @property
-    def max_order(self) -> int:
-        return max(self.orders)
-
-    @property
-    def has_involution(self) -> bool:
-        return 2 in self.orders
-
-    def multiset(self) -> Counter:
-        return Counter(self.orders)
 
 
 def torsion_probe(w: Subgroup) -> TorsionReport:

@@ -120,9 +120,6 @@ class CosetTable:
     def num_columns(self) -> int:
         return 2 * self.presentation.num_generators
 
-    def column(self, col: int) -> tuple[int, ...]:
-        return tuple(row[col] for row in self.rows)
-
     def trace(self, coset: int, w: Word) -> int:
         for letter in w.letters:
             coset = self.rows[coset][letter_column(letter)]

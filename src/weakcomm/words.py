@@ -97,10 +97,6 @@ class Word:
         base = self if n >= 0 else self.inverse()
         return Word(base.letters * abs(n))
 
-    def conjugated_by(self, k: "Word") -> "Word":
-        """Return k^-1 * self * k."""
-        return k.inverse() * self * k
-
     def is_identity(self) -> bool:
         return not self.letters
 

@@ -171,6 +171,15 @@ def test_internal_invariant_failure_exits_one(files, monkeypatch, capsys):
     assert "im rho" in err
 
 
+def test_analyze_w_records_a_failed_kernel_stage(files, tmp_path, monkeypatch):
+    monkeypatch.setattr(sidki, "derived_subgroup", lambda G: subgroup_generated(G, []))
+    out_path = tmp_path / "w.json"
+    assert main(["--json", str(out_path), "analyze-w", files["s4"]]) == EXIT_FAIL
+    (report,) = json.loads(out_path.read_text())
+    assert report["verdicts"] == {"kernel-computed": "fail"}
+    assert "im rho" in report["payload"]["kernelError"]
+
+
 @pytest.mark.parametrize("flag", ["--max-cosets", "--max-definitions"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_limits_are_usage_errors(files, flag, value):

@@ -1,9 +1,11 @@
-"""Every top-level function and class of the package is read by the package.
+"""Every top-level function and class of the package, and every method and
+property of its classes, is read by the package.
 
 A name that only tests reach is dead weight: no scenario, verdict or export
 depends on it.  A name counts as read when it appears in ``src/weakcomm`` as
 a loaded name, an attribute or an imported name (so an ``__init__`` export
-is a use); its own definition does not count.
+is a use); its own definition does not count.  Dunder methods, which the
+language calls, are exempt.
 """
 
 import ast
@@ -39,6 +41,22 @@ def test_every_top_level_definition_is_read_by_the_package():
         for module, tree in trees.items()
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in read
+    )
+    assert unread == []
+
+
+def test_every_method_and_property_is_read_by_the_package():
+    trees = _trees()
+    read = _read_names(trees)
+    unread = sorted(
+        f"{module}:{cls.name}.{node.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in read
     )
     assert unread == []

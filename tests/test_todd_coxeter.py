@@ -164,7 +164,7 @@ def test_table_must_be_closed(rows):
 def test_permutation_rep_c2():
     p = parse_presentation("< a | a^2 >")
     table = enumerate_cosets(p)
-    assert table.column(0) == (1, 0)
+    assert table.rows == ((1, 1), (0, 0))
 
 
 def test_relators_act_trivially():

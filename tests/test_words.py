@@ -44,11 +44,6 @@ def test_power():
     assert (a * Word.gen(1)) ** 0 == Word.identity()
 
 
-def test_conjugated_by():
-    a, b = Word.gen(0), Word.gen(1)
-    assert a.conjugated_by(b) == b.inverse() * a * b
-
-
 def test_bad_letters_rejected():
     with pytest.raises(ValueError):
         Word(((0, 2),))
