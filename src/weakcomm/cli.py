@@ -251,6 +251,17 @@ def _kernel_pipeline(pres, args):
     return base_group, data, analyze_double_kernel(data, base_group, _limits(args))
 
 
+def _kernel_failed(
+    report: ScenarioReport, exc: SidkiError
+) -> tuple[list[ScenarioReport], int]:
+    """Record a failed certificate of the kernel stage as a failed
+    ``kernel-computed`` verdict and end the scenario with it."""
+    report.record("kernel-computed", False)
+    report.payload["kernelError"] = str(exc)
+    print(f"error: {exc}", file=sys.stderr)
+    return [report], report.exit_code()
+
+
 def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
     report = ScenarioReport("analyze-w", _digest(text, *_limit_texts(args)))
@@ -258,11 +269,8 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
         _, _, analysis = _kernel_pipeline(pres, args)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
-    except SidkiError as exc:  # a certificate of the kernel stage failed
-        report.record("kernel-computed", False)
-        report.payload["kernelError"] = str(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return [report], report.exit_code()
+    except SidkiError as exc:
+        return _kernel_failed(report, exc)
     report.record("kernel-computed", True)
     report.record("lagrange", analysis.lagrange_consistent)
     report.record("w-abelian", analysis.w_abelian)
@@ -290,6 +298,8 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
         base_group, data, analysis = _kernel_pipeline(pres, args)
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
+    except SidkiError as exc:
+        return _kernel_failed(report, exc)
     stem = stem_audit(data, base_group, analysis)
     for name, ok in (
         ("rho-surjective", stem.rho_surjective),

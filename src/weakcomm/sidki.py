@@ -51,10 +51,12 @@ from .presentations import (
 )
 from .smith import is_perfect
 from .todd_coxeter import (
+    CosetEnumerationError,
     CosetTable,
     EnumerationLimits,
     DEFAULT_LIMITS,
     LimitExceeded,
+    closure_audit,
     enumerate_cosets,
     spanning_tree,
     word_columns,
@@ -433,7 +435,9 @@ def analyze_double_kernel(
 ) -> KernelAnalysis:
     """ker(rho), |X| and |im rho| from the table of the double over
     iota_psi(G): ``table`` when given, else the certifying table the double
-    was built with, else a fresh enumeration under ``limits``."""
+    was built with, else a fresh enumeration under ``limits``.  A given
+    table whose rows differ from the certifying table's must pass
+    :func:`closure_audit`."""
     if data.schedule is not RelatorSchedule.FULL:
         raise SidkiError("kernel analysis needs the FULL schedule")
     if base_group.presentation != data.base:
@@ -449,6 +453,11 @@ def analyze_double_kernel(
             table = enumerate_cosets(data.double, psi_gens, limits)
     elif table.subgroup_words != psi_gens or table.presentation != data.double:
         raise SidkiError("supplied table does not enumerate the double over iota_psi(G)")
+    elif data.table is None or table.rows != data.table.rows:
+        try:
+            closure_audit(table)
+        except CosetEnumerationError as exc:
+            raise SidkiError(f"supplied table fails the closure audit: {exc}") from None
     n = table.num_cosets
     x_order = n * m
 

@@ -12,13 +12,16 @@ cosets, and ``max_cosets`` bounds it.
 
 Cosets are numbered from 0; row 0 is the subgroup coset.  Columns come in
 pairs: column 2*i is generator i, column 2*i+1 its inverse, so the inverse
-of column c is c ^ 1.
+of column c is c ^ 1.  A generator with a relator x^2 or x^-2 is an
+involution: while the enumeration runs, its two columns are one list, so an
+entry and its inverse entry are made together, and its x^2 relators are
+not scanned (they hold by construction; :func:`closure_audit` still checks
+them).  The closed table has both columns, equal.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -130,10 +133,16 @@ class _NeedSpace(Exception):
     pass
 
 
+# A word as the column list of each letter, and of each letter's inverse.
+_Path = tuple[list[list[int]], list[list[int]]]
+
+
 class _Enumerator:
     """HLT over column storage: ``cols[c][k]`` is the entry of coset k in
-    column c, or -1 while undefined.  A dead coset keeps its row, pointing
-    through ``p`` to a smaller coset, until :meth:`_compact` drops it."""
+    column c, or -1 while undefined.  An involution's two columns are one
+    list, so ``cols[c ^ 1]`` is the inverse column of every column c.  A
+    dead coset keeps its row, pointing through ``p`` to a smaller coset,
+    until :meth:`_compact` drops it."""
 
     def __init__(
         self,
@@ -148,9 +157,20 @@ class _Enumerator:
         self.presentation = presentation
         self.subgroup_words = subgroup_words
         self.limits = limits
-        self.relator_paths = [word_columns(r) for r in presentation.relators]
-        self.subgroup_paths = [word_columns(w) for w in subgroup_words if w.letters]
-        self.cols: list[list[int]] = [[-1] for _ in range(2 * g)]
+        squares = [r for r in presentation.relators if len(r) == 2 and r.letters[0] == r.letters[1]]
+        involutions = {r.letters[0][0] for r in squares}
+        cols: list[list[int]] = []
+        for i in range(g):
+            col = [-1]
+            cols += (col, col) if i in involutions else (col, [-1])
+        self.cols = cols
+        # (column, inverse column) once per list, in column order
+        self.pairs = [
+            (cols[c], cols[c ^ 1]) for c in range(2 * g) if c % 2 == 0 or cols[c] is not cols[c ^ 1]
+        ]
+        self.lists = [col for col, _ in self.pairs]
+        self.relator_paths = [self._path(r) for r in presentation.relators if r not in squares]
+        self.subgroup_paths = [self._path(w) for w in subgroup_words if w.letters]
         self.p = [0]
         self.live = 1
         self.peak_live = 1
@@ -158,6 +178,10 @@ class _Enumerator:
         self.coincidences = 0
         self.lookaheads = 0
         self._defs_at_lookahead = 0
+
+    def _path(self, w: Word) -> _Path:
+        columns = word_columns(w)
+        return [self.cols[c] for c in columns], [self.cols[c ^ 1] for c in columns]
 
     # -- union-find ---------------------------------------------------------
 
@@ -170,44 +194,45 @@ class _Enumerator:
             p[k], k = r, p[k]
         return r
 
-    def _merge(self, x: int, y: int, queue: deque) -> None:
+    def _merge(self, x: int, y: int, queue: list[int]) -> None:
         rx = self.rep(x)
         ry = self.rep(y)
         if rx != ry:
             if rx > ry:
                 rx, ry = ry, rx
             self.p[ry] = rx
-            self.live -= 1
-            self.coincidences += 1
             queue.append(ry)
 
     def _coincidence(self, a: int, b: int) -> None:
-        cols = self.cols
-        queue: deque = deque()
-        self._merge(a, b, queue)
-        while queue:
-            gamma = queue.popleft()
-            for c, col in enumerate(cols):
+        rep = self.rep
+        merge = self._merge
+        pairs = self.pairs
+        queue: list[int] = []
+        merge(a, b, queue)
+        for gamma in queue:  # merges append to the queue while it is scanned
+            for col, inv in pairs:
                 delta = col[gamma]
                 if delta < 0:
                     continue
-                inv = cols[c ^ 1]
                 inv[delta] = -1
-                mu = self.rep(gamma)
-                nu = self.rep(delta)
+                mu = rep(gamma)
+                nu = rep(delta)
                 if col[mu] >= 0:
-                    self._merge(nu, col[mu], queue)
+                    merge(nu, col[mu], queue)
                 elif inv[nu] >= 0:
-                    self._merge(mu, inv[nu], queue)
+                    merge(mu, inv[nu], queue)
                 else:
                     col[mu] = nu
                     inv[nu] = mu
+        self.live -= len(queue)
+        self.coincidences += len(queue)
 
     def _compact(self, alpha: int) -> int:
         """Drop the dead rows and renumber the live cosets 0, 1, ... in their
         old order, so that every comparison of coset numbers, and with it the
         rest of the enumeration, comes out as before.  Only called with no
-        coincidence pending, when live rows point only at live cosets.
+        coincidence pending, when live rows point only at live cosets.  The
+        column lists are renumbered in place, so the paths keep them.
         Returns the number of live cosets below ``alpha``: the new number of
         the first live coset at or after it."""
         p = self.p
@@ -217,39 +242,38 @@ class _Enumerator:
         # would be freed between the kept ones and leave the heap fragmented.
         for new, old in enumerate(kept):
             renumber[old] = new
-        for col in self.cols:
+        for col in self.lists:
             col[:] = [renumber[e] for e in map(col.__getitem__, kept)]
         p[:] = map(renumber.__getitem__, kept)
         return bisect_left(kept, alpha)
 
     # -- definitions and scanning -------------------------------------------
 
-    def _define(self, alpha: int, c: int) -> None:
+    def _define(self, alpha: int, col: list[int], inv: list[int]) -> None:
         if self.live >= self.limits.max_cosets:
             raise _NeedSpace
         if self.defs >= self.limits.max_definitions:
             raise LimitExceeded("definitions", self.limits.max_definitions)
-        cols = self.cols
         beta = len(self.p)
-        for col in cols:
-            col.append(-1)
+        for lst in self.lists:
+            lst.append(-1)
         self.p.append(beta)
-        cols[c][alpha] = beta
-        cols[c ^ 1][beta] = alpha
+        col[alpha] = beta
+        inv[beta] = alpha
         self.defs += 1
         self.live += 1
         if self.live > self.peak_live:
             self.peak_live = self.live
 
-    def _scan(self, alpha: int, path: list[int], fill: bool) -> None:
-        cols = self.cols
+    def _scan(self, alpha: int, path: _Path, fill: bool) -> None:
+        fwd, back = path
         f = alpha
         b = alpha
         i = 0
-        j = len(path) - 1
+        j = len(fwd) - 1
         while True:
             while i <= j:
-                nxt = cols[path[i]][f]
+                nxt = fwd[i][f]
                 if nxt < 0:
                     break
                 f = nxt
@@ -259,7 +283,7 @@ class _Enumerator:
                     self._coincidence(f, b)
                 return
             while j >= i:
-                prev = cols[path[j] ^ 1][b]
+                prev = back[j][b]
                 if prev < 0:
                     break
                 b = prev
@@ -268,12 +292,12 @@ class _Enumerator:
                 self._coincidence(f, b)
                 return
             if j == i:
-                cols[path[i]][f] = b
-                cols[path[i] ^ 1][b] = f
+                fwd[i][f] = b
+                back[i][b] = f
                 return
             if not fill:
                 return
-            self._define(f, path[i])
+            self._define(f, fwd[i], back[i])
 
     def _lookahead(self) -> None:
         self.lookaheads += 1
@@ -293,9 +317,9 @@ class _Enumerator:
             self._scan(alpha, path, fill=True)
             if p[alpha] != alpha:
                 return
-        for c, col in enumerate(self.cols):
+        for col, inv in self.pairs:
             if col[alpha] < 0:
-                self._define(alpha, c)
+                self._define(alpha, col, inv)
 
     # -- main loop ------------------------------------------------------------
 
@@ -330,15 +354,16 @@ class _Enumerator:
     def _finish(self) -> CosetTable:
         """Compact, then build the rows from the last one back, truncating
         the columns as they are read, so that the two layouts never coexist
-        in full.  An undefined entry left in a row fails the closedness
-        check of :class:`CosetTable`."""
+        in full.  An involution's list gives both of its columns.  An
+        undefined entry left in a row fails the closedness check of
+        :class:`CosetTable`."""
         self._compact(0)
         cols = self.cols
         if cols:
             backwards = []
             for start in reversed(range(0, len(self.p), _FINISH_CHUNK)):
                 backwards += zip(*(reversed(col[start:]) for col in cols))
-                for col in cols:
+                for col in self.lists:
                     del col[start:]
             rows = tuple(reversed(backwards))
         else:  # no generators: one empty row per coset

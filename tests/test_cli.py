@@ -180,6 +180,16 @@ def test_analyze_w_records_a_failed_kernel_stage(files, tmp_path, monkeypatch):
     assert "im rho" in report["payload"]["kernelError"]
 
 
+def test_stem_audit_records_a_failed_kernel_stage(files, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
+    monkeypatch.setattr(sidki, "derived_subgroup", lambda G: subgroup_generated(G, []))
+    out_path = tmp_path / "stem.json"
+    assert main(["--json", str(out_path), "stem-audit", files["s4"]]) == EXIT_FAIL
+    (report,) = json.loads(out_path.read_text())
+    assert report["verdicts"] == {"kernel-computed": "fail"}
+    assert "im rho" in report["payload"]["kernelError"]
+
+
 @pytest.mark.parametrize("flag", ["--max-cosets", "--max-definitions"])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_limits_are_usage_errors(files, flag, value):

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 from itertools import permutations
 from random import Random
 
@@ -590,7 +591,8 @@ def test_corrupted_kernel_word_is_refused(klein_double, monkeypatch, corruption)
 
 def test_kernel_closure_refuses_a_table_that_breaks_a_relator(klein_double):
     # swapping two entries of the a column keeps the table closed, but
-    # products of W's generators then leave the kernel cosets
+    # products of W's generators then leave the kernel cosets; passed as the
+    # certifying table, it reaches the kernel stage without a closure audit
     base, data = klein_double
     table = standardize(enumerate_cosets(data.double, psi_generators(data.base)))
     rows = [list(row) for row in table.rows]
@@ -599,6 +601,20 @@ def test_kernel_closure_refuses_a_table_that_breaks_a_relator(klein_double):
         rows[row[0]][1] = z
     broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, rows)))
     with pytest.raises(SidkiError, match="not closed"):
+        analyze_double_kernel(replace(data, table=broken), base)
+
+
+def test_supplied_table_must_pass_the_closure_audit(klein_double):
+    # cosets 0 and 1 swap their entries in column a: the table stays closed,
+    # but a relator breaks, and unaudited it reads W as not central
+    base, data = klein_double
+    table = standardize(enumerate_cosets(data.double, psi_generators(data.base)))
+    assert analyze_double_kernel(data, base, table=table).w_central
+    rows = [list(row) for row in table.rows]
+    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
+    assert rows[0][0] != rows[1][0]
+    broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, rows)))
+    with pytest.raises(SidkiError, match="closure audit"):
         analyze_double_kernel(data, base, table=broken)
 
 

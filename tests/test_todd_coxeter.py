@@ -5,7 +5,9 @@ import pytest
 from helpers import (
     a5_permutation_model,
     group_order_orbit_stabilizer,
+    perm_compose,
     perm_identity,
+    perm_inverse,
 )
 import weakcomm.todd_coxeter as todd_coxeter
 from weakcomm.finite_groups import realize
@@ -262,6 +264,54 @@ def test_lookahead_recovers_space():
     closure_audit(table)
 
 
+@pytest.mark.parametrize("square", ["a^2", "a^-2", "a*a"])
+def test_involution_columns_are_equal(a5_oracle_order, square):
+    # an involution keeps one column while the enumeration runs; the closed
+    # table still has both, equal
+    p = parse_presentation(f"< a, b | {square}, b^3, (a*b)^5 >")
+    table = enumerate_cosets(p)
+    assert table.num_cosets == a5_oracle_order
+    assert [row[0] for row in table.rows] == [row[1] for row in table.rows]
+    assert [row[2] for row in table.rows] != [row[3] for row in table.rows]
+    closure_audit(table)
+
+
+def test_trivial_involution_has_fixed_points():
+    p = parse_presentation("< a, b | a^2, a, b^3 >")
+    table = enumerate_cosets(p)
+    assert table.num_cosets == group_order_orbit_stabilizer([(1, 2, 0)], 3)
+    assert all(row[0] == row[1] == x for x, row in enumerate(table.rows))
+    closure_audit(table)
+
+
+def _a5_word_perm(a5_model, w: Word) -> tuple[int, ...]:
+    out = perm_identity(5)
+    for index, sign in w.letters:
+        gen = a5_model[index]
+        out = perm_compose(out, gen if sign == 1 else perm_inverse(gen))
+    return out
+
+
+@pytest.mark.parametrize(
+    "subgroup, max_cosets",
+    [(["a"], None), (["a"], 31), (["b*a*b^-1"], None), (["b*a*b^-1"], 31), (["a", "b*a*b^-1"], None)],
+)
+def test_involution_in_subgroup_words(a5_oracle_order, subgroup, max_cosets):
+    # index |G| / |H| with |H| counted on the 5-point model; unlimited, the
+    # enumeration holds more than 31 live cosets, so a limit of 31 forces a
+    # lookahead
+    model = a5_permutation_model()
+    p = parse_presentation(A5_TEXT)
+    words = [parse_word(text, p) for text in subgroup]
+    order = group_order_orbit_stabilizer([_a5_word_perm(model, w) for w in words], 5)
+    limits = EnumerationLimits(max_cosets=max_cosets) if max_cosets else EnumerationLimits()
+    table = enumerate_cosets(p, words, limits)
+    assert table.num_cosets == a5_oracle_order // order
+    assert table.stats.peak_live <= limits.max_cosets
+    assert (table.stats.lookaheads > 0) == (max_cosets is not None)
+    closure_audit(table)
+
+
 def _short_double_over_iota_psi(text: str):
     p = parse_presentation(text)
     data = double_presentation(p, realize(enumerate_cosets(p)).words)
@@ -273,8 +323,8 @@ def _short_double_over_iota_psi(text: str):
 @pytest.mark.parametrize(
     "text, index, definitions, coincidences, peak_live",
     [
-        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1711, 1136, 884),
-        (A5_TEXT, 7200, 25558, 18359, 9280),
+        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1353, 778, 713),
+        (A5_TEXT, 7200, 19930, 12731, 8257),
         ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 64281, 49882, 19608),
     ],
     ids=["S4", "A5", "SL(2,5)"],
@@ -293,6 +343,9 @@ def test_definition_sequence_is_pinned(text, index, definitions, coincidences, p
         (A5_TEXT, ""),
         ("< a, b | a^6, b^6, (a*b)^2, (a^2*b^2)^2, (a^3*b^3)^5 >", "a"),
         ("< | >", ""),
+        # every generator an involution, with coincidences to compact away
+        ("< a, b, c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (c*a)^3, (a*b*c)^4 >", ""),
+        (A5_TEXT, "a"),
     ],
 )
 def test_compaction_changes_no_definition(monkeypatch, text, subgroup):
