@@ -76,7 +76,7 @@ class FiniteCarrier:
         return self.group.presentation.generator_names
 
     def format_element(self, x: int) -> str:
-        return word_to_text(self.group.words[x], self.generator_names())
+        return word_to_text(Word(tuple((i, 1) for i in self.group.path(x))), self.generator_names())
 
     def random_element(self, rng: Random) -> int:
         return rng.randrange(self.group.order)

@@ -251,6 +251,11 @@ def _kernel_pipeline(pres, args):
     return base_group, data, analyze_double_kernel(data, base_group, _limits(args))
 
 
+def _order_counts(orders: tuple[int, ...]) -> str:
+    """Sorted ``order:count`` pairs, e.g. ``1:1,2:2047`` for the W of C2^4."""
+    return ",".join(f"{o}:{orders.count(o)}" for o in sorted(set(orders)))
+
+
 def _kernel_failed(
     report: ScenarioReport, exc: SidkiError
 ) -> tuple[list[ScenarioReport], int]:
@@ -277,7 +282,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     report.payload["xOrder"] = str(analysis.x_order)
     report.payload["wOrder"] = str(analysis.w_order)
     report.payload["rhoImageOrder"] = str(analysis.rho_image_order)
-    report.payload["wElementOrders"] = ",".join(map(str, analysis.w_element_orders))
+    report.payload["wElementOrders"] = _order_counts(analysis.w_element_orders)
     report.payload["wMaxOrder"] = str(max(analysis.w_element_orders))
     report.payload["wHasInvolution"] = str(2 in analysis.w_element_orders).lower()
     _record_table(report, analysis.table)
@@ -285,7 +290,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
         f"|X| = {analysis.x_order}, |W| = {analysis.w_order}, "
         f"|im rho| = {analysis.rho_image_order}"
     )
-    print(f"W element orders: {list(analysis.w_element_orders)}")
+    print(f"W element orders (order:count): {_order_counts(analysis.w_element_orders)}")
     return [report], report.exit_code()
 
 
@@ -316,7 +321,7 @@ def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
     report.payload["xOrder"] = str(stem.x_order)
     report.payload["wOrder"] = str(stem.w_order)
     report.payload["rhoImageOrder"] = str(stem.rho_image_order)
-    report.payload["wElementOrders"] = ",".join(map(str, stem.w_element_orders))
+    report.payload["wElementOrders"] = _order_counts(stem.w_element_orders)
     _record_table(report, analysis.table)
     for name, verdict in sorted(report.verdicts.items()):
         print(f"{name}: {verdict}")

@@ -4,14 +4,16 @@ basic structure queries.
 
 Element 0 is the identity; the element words are shortlex over the positive
 generators (breadth-first Cayley search in declared generator order).  The
-group keeps that search's spanning tree, so a whole-group table (a left
-translate, conjugation by a generator, a homomorphism's values) is carried
-along the tree edges in O(|G|) steps instead of one word walk per element.
+group keeps that search's spanning tree, not the words, so a whole-group
+table (a left translate, conjugation by a generator, a homomorphism's
+values) is carried along the tree edges in O(|G|) steps instead of one word
+walk per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, Sequence
 
@@ -33,17 +35,34 @@ class FiniteGroup:
     presentation: Presentation
     gen_perms: tuple[tuple[int, ...], ...]
     inv_gen_perms: tuple[tuple[int, ...], ...]
-    words: tuple[Word, ...]
-    # The breadth-first spanning tree behind ``words``: the elements in visit
-    # order, and per element y > 0 its parent and the generator i of the tree
-    # edge, y = parent[y] * g_i (the identity has generator -1).
+    # The breadth-first spanning tree of the shortlex words: the elements in
+    # visit order, and per element y > 0 its parent and the generator i of
+    # the tree edge, y = parent[y] * g_i (the identity has generator -1).
     tree_order: tuple[int, ...]
     tree_parent: tuple[int, ...]
     tree_generator: tuple[int, ...]
 
     @property
     def order(self) -> int:
-        return len(self.words)
+        return len(self.tree_order)
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The shortlex words, built on first read.  A tree word extends its
+        parent's by one positive letter, so the product only appends it."""
+        letters = [Word.gen(i) for i in range(self.presentation.num_generators)]
+        words = [Word.identity()] * self.order
+        for y in self.tree_order[1:]:
+            words[y] = words[self.tree_parent[y]] * letters[self.tree_generator[y]]
+        return tuple(words)
+
+    def path(self, x: int) -> list[int]:
+        """The generators of x's shortlex word, read off the tree."""
+        gens = []
+        while x:
+            gens.append(self.tree_generator[x])
+            x = self.tree_parent[x]
+        return gens[::-1]
 
     @property
     def identity(self) -> int:
@@ -57,7 +76,7 @@ class FiniteGroup:
 
     def mul(self, x: int, y: int) -> int:
         gp = self.gen_perms
-        for i, _ in self.words[y].letters:  # shortlex words use positive letters
+        for i in self.path(y):
             x = gp[i][x]
         return x
 
@@ -72,7 +91,7 @@ class FiniteGroup:
     def inv(self, x: int) -> int:
         ip = self.inv_gen_perms
         z = 0
-        for i, _ in reversed(self.words[x].letters):
+        for i in reversed(self.path(x)):
             z = ip[i][z]
         return z
 
@@ -102,7 +121,7 @@ class FiniteGroup:
         """The permutation z -> z * x: the generator columns along the word
         of x, composed with ``map``."""
         perm: Iterable[int] = range(self.order)
-        for i, _ in self.words[x].letters:
+        for i in self.path(x):
             perm = map(self.gen_perms[i].__getitem__, perm)
         return tuple(perm)
 
@@ -113,31 +132,21 @@ class FiniteGroup:
 
 
 def realize(table: CosetTable) -> FiniteGroup:
-    """Turn a closed table over the trivial subgroup into a concrete group."""
+    """Turn a closed table over the trivial subgroup into a concrete group
+    whose generator permutations are the table's own column tuples."""
     if table.subgroup_words:
         raise FiniteGroupError("realize requires a table over the trivial subgroup")
-    g = table.presentation.num_generators
-    n = table.num_cosets
-    columns = tuple(zip(*table.rows))
-    tree = spanning_tree(table, range(0, 2 * g, 2))  # positive letters only
-    if len(tree.order) != n:
+    columns = table.columns
+    tree = spanning_tree(table, range(0, len(columns), 2))  # positive letters only
+    if len(tree.order) != table.num_cosets:
         raise FiniteGroupError("generators do not reach every coset")
-    parent = tuple(tree.parent)
-    generator = tuple(c // 2 for c in tree.column)
-    # a tree word extends its parent's by one positive letter, so it is
-    # reduced already; the product only appends the shared letter
-    letters = [Word.gen(i) for i in range(g)]
-    words = [Word.identity()] * n
-    for y in tree.order[1:]:
-        words[y] = words[parent[y]] * letters[generator[y]]
     return FiniteGroup(
         table.presentation,
         columns[0::2],
         columns[1::2],
-        tuple(words),
         tuple(tree.order),
-        parent,
-        generator,
+        tuple(tree.parent),
+        tuple(c // 2 for c in tree.column),
     )
 
 
@@ -173,7 +182,7 @@ class _Generated:
         if k in self.members:
             return False
         gp = self.group.gen_perms
-        self.walks.append([gp[i] for i, _ in self.group.words[k].letters])
+        self.walks.append([gp[i] for i in self.group.path(k)])
         old = len(self.elements)
         # the old elements are closed under the old generators, so they need
         # only the new one; each new element needs every generator
@@ -296,7 +305,7 @@ class FiniteHom:
     def apply(self, x: int) -> int:
         T = self.target
         z = 0
-        for i, _ in self.source.words[x].letters:
+        for i in self.source.path(x):
             z = T.mul(z, self.images[i])
         return z
 

@@ -436,7 +436,7 @@ def analyze_double_kernel(
     """ker(rho), |X| and |im rho| from the table of the double over
     iota_psi(G): ``table`` when given, else the certifying table the double
     was built with, else a fresh enumeration under ``limits``.  A given
-    table whose rows differ from the certifying table's must pass
+    table whose columns differ from the certifying table's must pass
     :func:`closure_audit`."""
     if data.schedule is not RelatorSchedule.FULL:
         raise SidkiError("kernel analysis needs the FULL schedule")
@@ -453,7 +453,7 @@ def analyze_double_kernel(
             table = enumerate_cosets(data.double, psi_gens, limits)
     elif table.subgroup_words != psi_gens or table.presentation != data.double:
         raise SidkiError("supplied table does not enumerate the double over iota_psi(G)")
-    elif data.table is None or table.rows != data.table.rows:
+    elif data.table is None or table.columns != data.table.columns:
         try:
             closure_audit(table)
         except CosetEnumerationError as exc:
@@ -479,7 +479,6 @@ def analyze_double_kernel(
     rho_rep[0] = (0, 0, 0)
     for y in tree.order[1:]:
         rho_rep[y] = step(rho_rep[tree.parent[y]], tree.column[y])
-    rep_letters = tree.letters()
 
     # kernel elements: cosets whose representative maps to (e, q, q); the
     # unique element of ker(rho) in that coset is iota_psi(q^-1) * rep.
@@ -490,7 +489,7 @@ def analyze_double_kernel(
         if p_ == 0 and q_ == r_:
             correction = data.psi_word(base_group.words[base_group.inv(q_)])
             w_cosets.append(c)
-            w_words.append(correction * Word(rep_letters[c]))
+            w_words.append(correction * Word(tree.path(c)))
     w_order = len(w_words)
 
     gens = _kernel_generators(table, w_cosets, w_words, step)

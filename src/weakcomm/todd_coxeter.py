@@ -10,19 +10,21 @@ by ``_COMPACT_MARGIN``, they are dropped between cosets and the live cosets
 renumbered in order, which changes no definition; so memory follows the live
 cosets, and ``max_cosets`` bounds it.
 
-Cosets are numbered from 0; row 0 is the subgroup coset.  Columns come in
-pairs: column 2*i is generator i, column 2*i+1 its inverse, so the inverse
-of column c is c ^ 1.  A generator with a relator x^2 or x^-2 is an
+Cosets are numbered from 0; coset 0 is the subgroup coset.  Columns come
+in pairs: column 2*i is generator i, column 2*i+1 its inverse, so the
+inverse of column c is c ^ 1.  A generator with a relator x^2 or x^-2 is an
 involution: while the enumeration runs, its two columns are one list, so an
 entry and its inverse entry are made together, and its x^2 relators are
 not scanned (they hold by construction; :func:`closure_audit` still checks
-them).  The closed table has both columns, equal.
+them).  The closed table keeps the columns as tuples, an involution's two
+columns as one; no layout by rows is stored.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .presentations import Presentation, word_to_text
@@ -34,8 +36,8 @@ class CosetEnumerationError(ValueError):
 
 
 class TableNotClosedError(CosetEnumerationError):
-    """Raised by :class:`CosetTable` on a table with no rows, a short or long
-    row, or an entry that is not a coset number."""
+    """Raised by :class:`CosetTable` on a table with no cosets, a missing,
+    short or long column, or an entry that is not a coset number."""
 
 
 class LimitExceeded(CosetEnumerationError):
@@ -70,9 +72,6 @@ _LOOKAHEAD_PERIOD = 500_000
 # ones by this many.
 _COMPACT_MARGIN = 1024
 
-# The closed table's rows are built this many at a time.
-_FINISH_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class EnumerationStats:
@@ -97,35 +96,41 @@ def column_letter(col: int) -> Letter:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """A closed coset table: at least one row, one entry per column in every
-    row, and every entry a coset number.  Construction raises
-    :class:`TableNotClosedError` otherwise, so no reader checks again."""
+    """A closed coset table by columns: ``columns[c][x]`` is the coset that x
+    reaches by column c.  Every column has n >= 1 coset numbers (with no
+    generators, n = 1).  Construction raises :class:`TableNotClosedError`
+    otherwise, so no reader checks again."""
 
     presentation: Presentation
     subgroup_words: tuple[Word, ...]
-    rows: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
     stats: EnumerationStats | None = None
 
     def __post_init__(self) -> None:
-        n = len(self.rows)
-        width = self.num_columns
-        if n == 0:
-            raise TableNotClosedError("a coset table needs at least one row")
-        for row in self.rows:
-            if len(row) != width or (width and (min(row) < 0 or max(row) >= n)):
+        n = self.num_cosets
+        if len(self.columns) != self.num_columns or n == 0:
+            raise TableNotClosedError("a coset table needs a coset and a column per letter")
+        for col in self.columns:
+            if len(col) != n or min(col) < 0 or max(col) >= n:
                 raise TableNotClosedError("coset table is not closed")
 
     @property
     def num_cosets(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0]) if self.columns else 1
 
     @property
     def num_columns(self) -> int:
         return 2 * self.presentation.num_generators
 
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows, transposed on each call: never kept beside the columns."""
+        return tuple(zip(*self.columns)) if self.columns else ((),)
+
     def trace(self, coset: int, w: Word) -> int:
+        columns = self.columns
         for letter in w.letters:
-            coset = self.rows[coset][letter_column(letter)]
+            coset = columns[letter_column(letter)][coset]
         return coset
 
 
@@ -352,26 +357,20 @@ class _Enumerator:
         return self._finish()
 
     def _finish(self) -> CosetTable:
-        """Compact, then build the rows from the last one back, truncating
-        the columns as they are read, so that the two layouts never coexist
-        in full.  An involution's list gives both of its columns.  An
-        undefined entry left in a row fails the closedness check of
-        :class:`CosetTable`."""
+        """Compact, then freeze the column lists into tuples, clearing each
+        list once frozen (an involution's list gives one tuple for both of its
+        columns).  An undefined entry left fails :class:`CosetTable`'s check."""
         self._compact(0)
         cols = self.cols
-        if cols:
-            backwards = []
-            for start in reversed(range(0, len(self.p), _FINISH_CHUNK)):
-                backwards += zip(*(reversed(col[start:]) for col in cols))
-                for col in self.lists:
-                    del col[start:]
-            rows = tuple(reversed(backwards))
-        else:  # no generators: one empty row per coset
-            rows = ((),) * len(self.p)
-        stats = EnumerationStats(
-            self.defs, self.coincidences, self.lookaheads, self.peak_live
-        )
-        return CosetTable(self.presentation, self.subgroup_words, rows, stats)
+        columns: list[tuple[int, ...]] = []
+        for c, col in enumerate(cols):
+            if c % 2 and col is cols[c - 1]:
+                columns.append(columns[-1])
+            else:
+                columns.append(tuple(col))
+                col.clear()
+        stats = EnumerationStats(self.defs, self.coincidences, self.lookaheads, self.peak_live)
+        return CosetTable(self.presentation, self.subgroup_words, tuple(columns), stats)
 
 
 def enumerate_cosets(
@@ -387,6 +386,11 @@ def enumerate_cosets(
     return _Enumerator(presentation, tuple(subgroup), limits).run()
 
 
+def _compose(perm, col) -> tuple[int, ...]:
+    """``col[x]`` for each x in ``perm`` (itemgetter of one key is no tuple)."""
+    return itemgetter(*perm)(col) if len(perm) > 1 else (col[perm[0]],)
+
+
 def standardize(table: CosetTable) -> CosetTable:
     """Renumber cosets in breadth-first order from coset 0, scanning columns
     in declared generator order.  Canonical: two tables of the same action
@@ -398,9 +402,8 @@ def standardize(table: CosetTable) -> CosetTable:
     new_index = [0] * n
     for new, old in enumerate(order):
         new_index[old] = new
-    rows = table.rows
-    new_rows = [tuple(new_index[e] for e in rows[old]) for old in order]
-    return CosetTable(table.presentation, table.subgroup_words, tuple(new_rows), table.stats)
+    columns = tuple(_compose(_compose(order, col), new_index) for col in table.columns)
+    return CosetTable(table.presentation, table.subgroup_words, columns, table.stats)
 
 
 @dataclass(frozen=True)
@@ -414,23 +417,20 @@ class SpanningTree:
     parent: list[int]
     column: list[int]
 
-    def letters(self) -> list[tuple[Letter, ...]]:
-        """Per coset, the letters of the tree word that traces coset 0 to it
-        (empty for an unreached coset)."""
-        parent = self.parent
-        column = self.column
-        letters: list[tuple[Letter, ...]] = [()] * len(parent)
-        for y in self.order[1:]:
-            letters[y] = letters[parent[y]] + (column_letter(column[y]),)
-        return letters
+    def path(self, y: int) -> tuple[Letter, ...]:
+        """The letters of the tree word from coset 0 to the reached coset y."""
+        letters = []
+        while y:
+            letters.append(column_letter(self.column[y]))
+            y = self.parent[y]
+        return tuple(reversed(letters))
 
 
 def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
     """Breadth-first search of a closed table from coset 0 that scans
     ``columns`` in the order given and stops once every coset is reached."""
-    rows = table.rows
-    n = len(rows)
-    columns = tuple(columns)
+    n = table.num_cosets
+    scanned = [(c, table.columns[c]) for c in columns]
     parent = [-1] * n
     column = [-1] * n
     parent[0] = 0
@@ -438,9 +438,8 @@ def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
     for x in order:  # the queue: cosets are appended while it is scanned
         if len(order) == n:
             break
-        row = rows[x]
-        for c in columns:
-            y = row[c]
+        for c, col in scanned:
+            y = col[x]
             if parent[y] < 0:
                 parent[y] = x
                 column[y] = c
@@ -450,12 +449,10 @@ def spanning_tree(table: CosetTable, columns: Iterable[int]) -> SpanningTree:
 
 def word_image(table: CosetTable, w: Word) -> tuple[int, ...]:
     """The permutation induced by a word (homomorphic extension)."""
-    rows = table.rows
-    arr = list(range(table.num_cosets))
-    for letter in w.letters:
-        col = letter_column(letter)
-        arr = [rows[x][col] for x in arr]
-    return tuple(arr)
+    perm = tuple(range(table.num_cosets))
+    for c in word_columns(w):
+        perm = _compose(perm, table.columns[c])
+    return perm
 
 
 def closure_audit(table: CosetTable) -> None:
@@ -465,16 +462,14 @@ def closure_audit(table: CosetTable) -> None:
     relator traces to the identity permutation, subgroup generators fix
     coset 0, and the joint action is transitive."""
     n = table.num_cosets
-    full = list(range(n))
-    identity = tuple(full)
-    rows = table.rows
-    for c in range(table.num_columns):
-        if sorted(rows[x][c] for x in full) != full:
+    identity = tuple(range(n))
+    columns = table.columns
+    for c, col in enumerate(columns):
+        if len(set(col)) != n:  # the entries are coset numbers already
             raise CosetEnumerationError(f"column {c} is not a permutation")
     for c in range(0, table.num_columns, 2):
-        for x in full:
-            if rows[rows[x][c]][c + 1] != x:
-                raise CosetEnumerationError(f"inverse consistency fails in column {c}")
+        if _compose(columns[c], columns[c + 1]) != identity:
+            raise CosetEnumerationError(f"inverse consistency fails in column {c}")
     for r in table.presentation.relators:
         if word_image(table, r) != identity:
             raise CosetEnumerationError("a relator does not act trivially")

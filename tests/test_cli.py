@@ -66,7 +66,7 @@ def test_enumerate_limit_is_inconclusive(files, capsys):
 def test_enumerate_fails_on_a_table_that_breaks_a_relator(files, tmp_path, monkeypatch, capsys):
     # closed, but a acts as a 3-cycle, so the relator a^2 does not act trivially
     def three_cycle(pres, subgroup=(), limits=None):
-        return CosetTable(pres, tuple(subgroup), ((1, 2), (2, 0), (0, 1)))
+        return CosetTable(pres, tuple(subgroup), ((1, 2, 0), (2, 0, 1)))
 
     monkeypatch.setattr(cli, "enumerate_cosets", three_cycle)
     out = tmp_path / "out.json"
@@ -129,6 +129,22 @@ def test_analyze_w_klein(files, tmp_path):
     assert report["payload"]["wOrder"] == "2"
     assert report["payload"]["wHasInvolution"] == "true"
     assert report["verdicts"]["lagrange"] == "pass"
+
+
+def test_w_element_orders_are_counted_per_order(files, tmp_path, monkeypatch, capsys):
+    # one order:count pair per order, not one entry per element of W
+    out_path = tmp_path / "w.json"
+    assert main(["--json", str(out_path), "analyze-w", files["klein"]]) == EXIT_PASS
+    (report,) = json.loads(out_path.read_text())
+    assert report["payload"]["wElementOrders"] == "1:1,2:1"
+    assert "W element orders (order:count): 1:1,2:1" in capsys.readouterr().out
+    # stem-audit on the Klein base, passed off as perfect as in the
+    # containment test below
+    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
+    monkeypatch.setattr(sidki, "is_perfect", lambda p: p.num_generators == 2)
+    assert main(["--json", str(out_path), "stem-audit", files["klein"]]) == EXIT_INCONCLUSIVE
+    (report,) = json.loads(out_path.read_text())
+    assert report["payload"]["wElementOrders"] == "1:1,2:1"
 
 
 def test_analyze_w_enumerates_the_double_once(files, monkeypatch):

@@ -302,6 +302,44 @@ def test_kernel_and_image_match_oracle(realized):
         assert image.elements == tuple(sorted(set(values)))
 
 
+def test_tree_walks_match_oracle(realized):
+    # mul, inv, element_order and FiniteHom.apply walk the spanning tree;
+    # the oracle composes permutations along the stored words
+    name, g, oracle = realized
+    rng = Random(f"walks/{name}")
+    for _ in range(200):
+        x, y = rng.randrange(g.order), rng.randrange(g.order)
+        assert g.mul(x, y) == oracle.mul(x, y)
+    for x in g.elements():
+        assert g.inv(x) == oracle.inv(x)
+        n, z = 1, x
+        while z != 0:
+            z = oracle.mul(z, x)
+            n += 1
+        assert g.element_order(x) == n
+    # conjugation by u is an automorphism: generator i goes to u^-1 g_i u
+    u = rng.randrange(g.order)
+    images = tuple(oracle.conjugate(g.generator_element(i), u) for i in range(len(g.gen_perms)))
+    h = FiniteHom(g, g, images)
+    assert [h.apply(x) for x in g.elements()] == oracle.hom_values(oracle, images)
+
+
+def test_realize_shares_the_table_columns():
+    table = enumerate_cosets(parse_presentation(BASES["S4"]))
+    g = realize(table)
+    assert g.gen_perms[0] is table.columns[0]
+    assert g.inv_gen_perms[1] is table.columns[3]
+
+
+def test_realize_builds_words_on_first_read():
+    g = group(BASES["S4"])
+    assert "words" not in vars(g)
+    assert g.mul(g.inv(5), 5) == 0 and g.order == 24
+    assert "words" not in vars(g)
+    words = g.words
+    assert "words" in vars(g) and g.words is words
+
+
 def test_realize_words_are_shortlex_reduced_and_shared(realized):
     _, g, _ = realized
     # shortlex-least words by levels: a level's words extend the previous

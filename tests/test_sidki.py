@@ -581,9 +581,9 @@ def test_corrupted_kernel_word_is_refused(klein_double, monkeypatch, corruption)
         extra = Word.gen(0)
     else:
         extra = analyze_double_kernel(data, base).w_words[1]
-    letters = SpanningTree.letters
+    path = SpanningTree.path
     monkeypatch.setattr(
-        SpanningTree, "letters", lambda tree: [w + extra.letters if w else w for w in letters(tree)]
+        SpanningTree, "path", lambda tree, y: path(tree, y) + extra.letters if y else ()
     )
     with pytest.raises(SidkiError, match="kernel word"):
         analyze_double_kernel(data, base)
@@ -595,11 +595,12 @@ def test_kernel_closure_refuses_a_table_that_breaks_a_relator(klein_double):
     # certifying table, it reaches the kernel stage without a closure audit
     base, data = klein_double
     table = standardize(enumerate_cosets(data.double, psi_generators(data.base)))
-    rows = [list(row) for row in table.rows]
-    rows[1][0], rows[3][0] = rows[3][0], rows[1][0]
-    for z, row in enumerate(rows):
-        rows[row[0]][1] = z
-    broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, rows)))
+    columns = [list(col) for col in table.columns]
+    a, a_inv = columns[0], columns[1]
+    a[1], a[3] = a[3], a[1]
+    for z, y in enumerate(a):
+        a_inv[y] = z
+    broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, columns)))
     with pytest.raises(SidkiError, match="not closed"):
         analyze_double_kernel(replace(data, table=broken), base)
 
@@ -610,10 +611,11 @@ def test_supplied_table_must_pass_the_closure_audit(klein_double):
     base, data = klein_double
     table = standardize(enumerate_cosets(data.double, psi_generators(data.base)))
     assert analyze_double_kernel(data, base, table=table).w_central
-    rows = [list(row) for row in table.rows]
-    rows[0][0], rows[1][0] = rows[1][0], rows[0][0]
-    assert rows[0][0] != rows[1][0]
-    broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, rows)))
+    columns = [list(col) for col in table.columns]
+    a = columns[0]
+    a[0], a[1] = a[1], a[0]
+    assert a[0] != a[1]
+    broken = CosetTable(table.presentation, table.subgroup_words, tuple(map(tuple, columns)))
     with pytest.raises(SidkiError, match="closure audit"):
         analyze_double_kernel(data, base, table=broken)
 

@@ -123,10 +123,13 @@ def _relabel(table: CosetTable, rng: random.Random) -> CosetTable:
     """Randomly renumber the non-subgroup cosets of a closed table."""
     n = table.num_cosets
     perm = [0] + rng.sample(range(1, n), n - 1)
-    rows: list[tuple[int, ...]] = [()] * n
-    for old in range(n):
-        rows[perm[old]] = tuple(perm[e] for e in table.rows[old])
-    return CosetTable(table.presentation, table.subgroup_words, tuple(rows))
+    columns = []
+    for col in table.columns:
+        new = [0] * n
+        for old in range(n):
+            new[perm[old]] = perm[col[old]]
+        columns.append(tuple(new))
+    return CosetTable(table.presentation, table.subgroup_words, tuple(columns))
 
 
 def test_standardize_fixpoint():
@@ -153,14 +156,56 @@ def test_standardize_canonical_a5_trivial():
 
 
 @pytest.mark.parametrize(
-    "rows",
-    [((1, -1),) * 2, ((1, 2), (0, 0)), ((1, 1), (0,)), ()],
-    ids=["undefined-entry", "entry-equal-to-n", "short-row", "no-rows"],
+    "columns",
+    [((1, 0), (1, -1)), ((1, 2), (1, 0)), ((1, 0), (1,)), ((1, 0),), ((), ())],
+    ids=["undefined-entry", "entry-equal-to-n", "short-column", "wrong-column-count", "no-cosets"],
 )
-def test_table_must_be_closed(rows):
+def test_table_must_be_closed(columns):
     p = parse_presentation("< a | a^2 >")
     with pytest.raises(TableNotClosedError):
-        CosetTable(p, (), rows)
+        CosetTable(p, (), columns)
+
+
+def test_rows_transpose_the_columns():
+    table = CosetTable(parse_presentation("< a | a^3 >"), (), ((1, 2, 0), (2, 0, 1)))
+    assert table.rows == ((1, 2), (2, 0), (0, 1))
+    assert table.rows is not table.rows  # built on each read, never kept
+
+
+# closure_audit, one check at a time, on tables built from columns; each
+# table is closed, so only the audit can refuse it
+C3 = parse_presentation("< a | a^3 >")
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (CosetTable(C3, (), ((1, 1, 0), (2, 0, 1))), "column 0 is not a permutation"),
+        (CosetTable(C3, (), ((1, 2, 0), (1, 2, 0))), "inverse consistency fails in column 0"),
+        (CosetTable(C3, (), ((1, 0, 2), (1, 0, 2))), "a relator does not act trivially"),
+        (
+            CosetTable(C3, (Word.gen(0),), ((1, 2, 0), (2, 0, 1))),
+            "a subgroup generator moves coset 0",
+        ),
+        (
+            CosetTable(parse_presentation("< a | a^2 >"), (), ((0, 2, 1), (0, 2, 1))),
+            "joint action is not transitive",
+        ),
+    ],
+    ids=["not-a-permutation", "inverse-mismatch", "relator-moves", "subgroup-word-moves", "not-transitive"],
+)
+def test_closure_audit_refuses(table, message):
+    with pytest.raises(todd_coxeter.CosetEnumerationError, match=message):
+        closure_audit(table)
+
+
+@pytest.mark.parametrize("text", ["< a | a >", "< | >"])
+def test_closure_audit_passes_one_coset(text):
+    # one coset: itemgetter of a single key returns an item, not a tuple
+    table = enumerate_cosets(parse_presentation(text))
+    assert table.num_cosets == 1
+    closure_audit(table)
+    assert standardize(table).columns == table.columns
 
 
 def test_permutation_rep_c2():
@@ -196,8 +241,8 @@ def test_representative_words_trace_correctly():
     table = enumerate_cosets(p, [parse_word("b", p)])
     tree = spanning_tree(table, range(table.num_columns))
     assert len(tree.order) == table.num_cosets
-    for coset, letters in enumerate(tree.letters()):
-        assert table.trace(0, Word(letters)) == coset
+    for coset in range(table.num_cosets):
+        assert table.trace(0, Word(tree.path(coset))) == coset
 
 
 def test_dump_has_header_and_rows():
@@ -273,6 +318,7 @@ def test_involution_columns_are_equal(a5_oracle_order, square):
     assert table.num_cosets == a5_oracle_order
     assert [row[0] for row in table.rows] == [row[1] for row in table.rows]
     assert [row[2] for row in table.rows] != [row[3] for row in table.rows]
+    assert table.columns[0] is table.columns[1]  # one tuple for both
     closure_audit(table)
 
 
@@ -354,7 +400,6 @@ def test_compaction_changes_no_definition(monkeypatch, text, subgroup):
     monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", 10**9)  # only at the end
     never = enumerate_cosets(p, words)
     monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", -(10**9))  # after every coset
-    monkeypatch.setattr(todd_coxeter, "_FINISH_CHUNK", 3)
     always = enumerate_cosets(p, words)
-    assert always.rows == never.rows
+    assert always.columns == never.columns
     assert always.stats == never.stats
