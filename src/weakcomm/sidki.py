@@ -140,10 +140,11 @@ def double_presentation(
     """Build the double of a presented group.
 
     For the FULL schedule, ``elements`` must list one word per group element
-    (shortlex words from a realized finite group); the identity contributes a
-    trivial commutator and is dropped.  GENERATOR_ONLY only imposes the
-    generator commutators and flags the result PARTIAL, which poisons any
-    claim about the double as a group.
+    (shortlex words from a realized finite group), in any order: the
+    commutators follow the words in shortlex order, and the identity's is
+    trivial and dropped.  GENERATOR_ONLY only imposes the generator
+    commutators and flags the result PARTIAL, which poisons any claim about
+    the double as a group.
 
     The FULL double imposes [w, w_psi] only for the element words of length
     at most ``SHORT_WORD_LENGTH`` (the short set) when some word is longer.
@@ -174,7 +175,8 @@ def double_presentation(
             raise ScheduleError(
                 "the FULL schedule needs the element words of a realized finite group"
             )
-        words = [w for w in elements if not w.is_identity()]
+        # shortlex, so the double does not hang on how the base was numbered
+        words = sorted((w for w in elements if w.letters), key=lambda w: (len(w), w.letters))
         short = [w for w in words if len(w) <= SHORT_WORD_LENGTH]
         if len(short) < len(words):
             budget = replace(limits, max_cosets=min(limits.max_cosets, len(elements) ** 3))

@@ -18,6 +18,11 @@ entry and its inverse entry are made together, and its x^2 relators are
 not scanned (they hold by construction; :func:`closure_audit` still checks
 them).  The closed table keeps the columns as tuples, an involution's two
 columns as one; no layout by rows is stored.
+
+Over the trivial subgroup with two or more generators, the table is first
+sought as the orbit of (K1, K2) on the cosets of the subgroups generated by
+each half of the generators; it is taken only where a run-time certificate
+shows it is the regular action, and HLT runs otherwise.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ class EnumerationStats:
     definitions: int
     coincidences: int
     lookaheads: int
-    peak_live: int  # the most live cosets at any moment
+    peak_live: int  # the most live cosets, or orbit points, one enumeration held
 
 
 def letter_column(letter: Letter) -> int:
@@ -159,8 +164,6 @@ class _Enumerator:
         for w in subgroup_words:
             if w.max_index() >= g:
                 raise CosetEnumerationError("subgroup word uses undeclared generator")
-        self.presentation = presentation
-        self.subgroup_words = subgroup_words
         self.limits = limits
         squares = [r for r in presentation.relators if len(r) == 2 and r.letters[0] == r.letters[1]]
         involutions = {r.letters[0][0] for r in squares}
@@ -328,7 +331,7 @@ class _Enumerator:
 
     # -- main loop ------------------------------------------------------------
 
-    def run(self) -> CosetTable:
+    def run(self) -> tuple[tuple[int, ...], ...]:
         p = self.p
         for path in self.subgroup_paths:
             self._scan(0, path, fill=True)
@@ -356,7 +359,7 @@ class _Enumerator:
                 alpha = self._compact(alpha)
         return self._finish()
 
-    def _finish(self) -> CosetTable:
+    def _finish(self) -> tuple[tuple[int, ...], ...]:
         """Compact, then freeze the column lists into tuples, clearing each
         list once frozen (an involution's list gives one tuple for both of its
         columns).  An undefined entry left fails :class:`CosetTable`'s check."""
@@ -369,8 +372,7 @@ class _Enumerator:
             else:
                 columns.append(tuple(col))
                 col.clear()
-        stats = EnumerationStats(self.defs, self.coincidences, self.lookaheads, self.peak_live)
-        return CosetTable(self.presentation, self.subgroup_words, tuple(columns), stats)
+        return tuple(columns)
 
 
 def enumerate_cosets(
@@ -382,8 +384,99 @@ def enumerate_cosets(
 
     Returns a closed, compacted table whose coset count is the subgroup
     index.  Raises :class:`LimitExceeded` when a limit is hit, which is
-    always inconclusive."""
-    return _Enumerator(presentation, tuple(subgroup), limits).run()
+    always inconclusive.  The counters sum every enumeration the call ran
+    (see :func:`_orbit_of_halves`), and ``peak_live`` is the largest of their
+    peaks and of the orbit's size."""
+    subgroup = tuple(subgroup)
+    runs: list[tuple[int, int, int, int]] = []
+    columns = _columns(presentation, subgroup, limits, runs)
+    defs, coincidences, lookaheads, peaks = zip(*runs)
+    stats = EnumerationStats(sum(defs), sum(coincidences), sum(lookaheads), max(peaks))
+    return CosetTable(presentation, subgroup, columns, stats)
+
+
+def _columns(
+    presentation: Presentation,
+    subgroup: tuple[Word, ...],
+    limits: EnumerationLimits,
+    runs: list[tuple[int, int, int, int]],
+) -> tuple[tuple[int, ...], ...]:
+    """The closed table's columns: the certified orbit of halves, else HLT's,
+    whose counters join ``runs`` even when it raises."""
+    if not subgroup and presentation.num_generators >= 2:
+        columns = _orbit_of_halves(presentation, limits, runs)
+        if columns is not None:
+            return columns
+    e = _Enumerator(presentation, subgroup, limits)
+    try:
+        return e.run()
+    finally:
+        runs.append((e.defs, e.coincidences, e.lookaheads, e.peak_live))
+
+
+def _orbit_of_halves(
+    presentation: Presentation, limits: EnumerationLimits, runs: list[tuple[int, int, int, int]]
+) -> tuple[tuple[int, ...], ...] | None:
+    """G's columns over the trivial subgroup as the orbit of (0, 0) under the
+    generator columns of T1 x T2, G's tables over K1 = <the first g // 2
+    generators> and K2 = <the rest>, numbered breadth-first (shortlex); None
+    when not certified.  The orbit's size n is the index of the intersection
+    of K1 and K2, so n <= |G| = [G : K1] |K1| <= [G : K1] k1, k1 being the
+    order of the group presented by the first-half relators, of which K1 is
+    a quotient.  n == [G : K1] k1 forces K1 and K2 to meet trivially: the
+    orbit is then the regular action.  T1, T2 and the enumeration of k1
+    share one definitions budget.  A limit hit in T1 or T2, or an orbit past
+    ``max_cosets`` (|G| >= n), raises; one in the enumeration of k1, which
+    may hold n cosets, only fails the certificate."""
+    g = presentation.num_generators
+    h = g // 2
+    start = len(runs)
+
+    def budget(max_cosets: int) -> EnumerationLimits:
+        left = limits.max_definitions - sum(r[0] for r in runs[start:])
+        if left <= 0:
+            raise LimitExceeded("definitions", limits.max_definitions)
+        return EnumerationLimits(max_cosets, left)
+
+    gens1, gens2 = tuple(map(Word.gen, range(h))), tuple(map(Word.gen, range(h, g)))
+    t1 = CosetTable(presentation, gens1, _columns(presentation, gens1, limits, runs))
+    shared = budget(limits.max_cosets)  # what T1 left
+    t2 = CosetTable(presentation, gens2, _columns(presentation, gens2, shared, runs))
+    m1, m2 = t1.num_cosets, t2.num_cosets
+    index, points = {0: 0}, [0]  # y1 * m2 + y2 -> point number, and back
+    forward: list[list[int]] = [[] for _ in range(g)]
+    steps = list(zip(t1.columns[0::2], t2.columns[0::2], forward))
+    for key in points:  # the queue: points are appended while it is scanned
+        y1, y2 = divmod(key, m2)
+        for c1, c2, col in steps:
+            z = c1[y1] * m2 + c2[y2]
+            x = index.get(z)
+            if x is None:
+                x = index[z] = len(points)
+                points.append(z)
+            col.append(x)
+        if len(points) > limits.max_cosets:
+            raise LimitExceeded("cosets", limits.max_cosets)
+    n = len(points)
+    runs.append((0, 0, 0, n))  # the orbit's points are its peak
+    del index, points, steps
+    relators = [r for r in presentation.relators if r.max_index() < h]
+    sub = Presentation.make(presentation.generator_names[:h], relators)
+    try:
+        k1 = len(_columns(sub, (), budget(n), runs)[0])
+    except LimitExceeded:
+        return None
+    if n != m1 * k1:
+        return None
+    columns: list[tuple[int, ...]] = []
+    for col in forward:  # each list cleared once frozen
+        inv = [0] * n
+        for x, y in enumerate(col):
+            inv[y] = x
+        fwd = tuple(col)
+        columns += (fwd, fwd) if inv == col else (fwd, tuple(inv))
+        col.clear()
+    return tuple(columns)
 
 
 def _compose(perm, col) -> tuple[int, ...]:

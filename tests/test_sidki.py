@@ -111,6 +111,14 @@ def test_double_trivial_group():
     assert len(data.double.relators) == 0
 
 
+def test_double_does_not_depend_on_the_order_of_the_words():
+    # the commutators follow the element words in shortlex order
+    words = realized(S4_TEXT).words
+    first = double_presentation(presented(S4_TEXT), words)
+    second = double_presentation(presented(S4_TEXT), words[::-1])
+    assert first.double.digest() == second.double.digest()
+
+
 def test_psi_name_collision_resolved():
     p = presented("< a, a_psi | >")
     data = double_presentation(p, None, RelatorSchedule.GENERATOR_ONLY)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from helpers import (
+    PermutationOracle,
     a5_permutation_model,
     group_order_orbit_stabilizer,
     perm_compose,
@@ -11,7 +12,7 @@ from helpers import (
 )
 import weakcomm.todd_coxeter as todd_coxeter
 from weakcomm.finite_groups import realize
-from weakcomm.presentations import parse_presentation, parse_word
+from weakcomm.presentations import direct_power, parse_presentation, parse_word
 from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import (
     CosetTable,
@@ -309,10 +310,11 @@ def test_lookahead_recovers_space():
     closure_audit(table)
 
 
-@pytest.mark.parametrize("square", ["a^2", "a^-2", "a*a"])
+@pytest.mark.parametrize("square", ["a^2", "a^-2", "a*a", "a^4, a^6"])
 def test_involution_columns_are_equal(a5_oracle_order, square):
     # an involution keeps one column while the enumeration runs; the closed
-    # table still has both, equal
+    # table still has both, equal.  Without a relator x^2 (a^4, a^6), the
+    # orbit of halves finds that the column is its own inverse
     p = parse_presentation(f"< a, b | {square}, b^3, (a*b)^5 >")
     table = enumerate_cosets(p)
     assert table.num_cosets == a5_oracle_order
@@ -369,9 +371,9 @@ def _short_double_over_iota_psi(text: str):
 @pytest.mark.parametrize(
     "text, index, definitions, coincidences, peak_live",
     [
-        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1353, 778, 713),
-        (A5_TEXT, 7200, 19930, 12731, 8257),
-        ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 64281, 49882, 19608),
+        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1352, 777, 708),
+        (A5_TEXT, 7200, 19872, 12673, 8257),
+        ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 64023, 49624, 19608),
     ],
     ids=["S4", "A5", "SL(2,5)"],
 )
@@ -403,3 +405,102 @@ def test_compaction_changes_no_definition(monkeypatch, text, subgroup):
     always = enumerate_cosets(p, words)
     assert always.columns == never.columns
     assert always.stats == never.stats
+
+
+# -- the orbit of halves: tables over the trivial subgroup ----------------------
+
+# the bases of perfbench's realized-doubles workload
+REALIZED_BASES = {
+    **{f"C{n}": f"< a | a^{n} >" for n in range(2, 7)},
+    "Klein": "< a, b | a^2, b^2, a^-1*b^-1*a*b >",
+    "C2xC4": "< a, b | a^2, b^4, a^-1*b^-1*a*b >",
+    "S3": "< a, b | a^2, b^3, (a*b)^2 >",
+    "D4": "< a, b | a^2, b^4, (a*b)^2 >",
+    "Q8": "< a, b | a^4, a^2*b^-2, b^-1*a*b*a >",
+    "D5": "< a, b | a^2, b^5, (a*b)^2 >",
+    "A4": "< a, b | a^2, b^3, (a*b)^3 >",
+    "S4": "< a, b | a^2, b^3, (a*b)^4 >",
+}
+SL25_TEXT = "< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >"
+
+
+def _hlt(p) -> tuple[CosetTable, int]:
+    """The table over the trivial subgroup by plain HLT, with its definitions."""
+    e = todd_coxeter._Enumerator(p, (), EnumerationLimits())
+    table = CosetTable(p, (), e.run())
+    return table, e.defs
+
+
+def _x(text):
+    p = parse_presentation(text)
+    return double_presentation(p, realize(enumerate_cosets(p)).words).double
+
+
+def _cube(text):
+    return direct_power(parse_presentation(text), 3)
+
+
+@pytest.mark.parametrize("base", REALIZED_BASES)
+@pytest.mark.parametrize("make", [parse_presentation, _x, _cube], ids=["G", "X(G)", "G^3"])
+def test_orbit_of_halves_is_hlt_standardized(base, make):
+    p = make(REALIZED_BASES[base])
+    table = enumerate_cosets(p)
+    hlt, _ = _hlt(p)
+    closure_audit(table)
+    assert dump_table(standardize(table)) == dump_table(standardize(hlt))
+    n = table.num_cosets
+    if n <= 1000:
+        # n distinct elements, element x the image of coset 0 under its word
+        oracle = PermutationOracle.of(realize(table))
+        assert [oracle.element(perm) for perm in oracle.perms] == list(range(n))
+        assert len(set(oracle.perms)) == n
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        parse_presentation(REALIZED_BASES["Q8"]),  # <a> and <b> meet in <a^2>
+        _cube(REALIZED_BASES["Q8"]),  # the halves meet in <a_2^2>
+        parse_presentation(SL25_TEXT),  # a^2 = b^3
+        # the trivial group; its first half < a | > is infinite
+        parse_presentation("< a, b | a*b*a^-1*b^-2, b*a*b^-1*a^-2 >"),
+    ],
+    ids=["Q8", "Q8^3", "SL(2,5)", "trivial"],
+)
+def test_uncertified_orbit_falls_back_to_hlt(monkeypatch, p):
+    hlt, definitions = _hlt(p)
+    runs = []
+
+    class Spy(todd_coxeter._Enumerator):
+        def __init__(self, presentation, subgroup, limits):
+            runs.append((presentation, subgroup))
+            super().__init__(presentation, subgroup, limits)
+
+    monkeypatch.setattr(todd_coxeter, "_Enumerator", Spy)
+    table = enumerate_cosets(p)
+    assert runs[-1] == (p, ())  # HLT over the trivial subgroup, after the attempt
+    assert table.columns == hlt.columns
+    assert table.stats.definitions > definitions  # the failed attempt counts
+
+
+@pytest.mark.parametrize("base", ["Klein", "A4", "S4"])
+def test_certified_table_is_numbered_shortlex(base):
+    group = realize(enumerate_cosets(parse_presentation(REALIZED_BASES[base])))
+    assert group.tree_order == tuple(range(group.order))
+    assert list(group.words) == sorted(group.words, key=lambda w: (len(w), w.letters))
+
+
+def test_orbit_of_halves_limits():
+    p = _x(REALIZED_BASES["S4"])
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_cosets(p, limits=EnumerationLimits(max_cosets=13823))
+    assert exc.value.kind == "cosets"
+    # T1, T2 and the order of the first half share one definitions budget:
+    # one definition less fails the certificate, and HLT needs far more
+    spent = enumerate_cosets(p).stats.definitions
+    assert _hlt(p)[1] > spent
+    table = enumerate_cosets(p, limits=EnumerationLimits(max_definitions=spent))
+    assert table.num_cosets == 13824
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_cosets(p, limits=EnumerationLimits(max_definitions=spent - 1))
+    assert exc.value.kind == "definitions"
