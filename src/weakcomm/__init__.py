@@ -4,7 +4,6 @@ coset enumeration, and exact group-ring trace audits."""
 from .words import Word, commutator, free_reduce
 from .presentations import (
     GeneratorMap,
-    GeneratorSymbol,
     Presentation,
     PresentationError,
     PresentationSyntaxError,

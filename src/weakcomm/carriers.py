@@ -35,10 +35,10 @@ class ConjugacyUnsupportedError(CarrierError):
 _DEFAULT_FREE_NAMES = "abcdefgh"
 
 
-def _auto_names(rank: int, prefix: str = "x") -> tuple[str, ...]:
+def _auto_names(rank: int) -> tuple[str, ...]:
     if rank <= len(_DEFAULT_FREE_NAMES):
         return tuple(_DEFAULT_FREE_NAMES[:rank])
-    return tuple(f"{prefix}{i + 1}" for i in range(rank))
+    return tuple(f"x{i + 1}" for i in range(rank))
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,6 @@ class FiniteCarrier:
     """Elements are indices of a realized finite group."""
 
     group: FiniteGroup
-
-    has_conjugacy = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_class_rep", class_representative_map(self.group))
@@ -72,11 +70,9 @@ class FiniteCarrier:
     def canonical_class(self, x: int) -> int:
         return self._class_rep[x]  # type: ignore[attr-defined]
 
-    def generator_names(self) -> tuple[str, ...]:
-        return self.group.presentation.generator_names
-
     def format_element(self, x: int) -> str:
-        return word_to_text(Word(tuple((i, 1) for i in self.group.path(x))), self.generator_names())
+        names = self.group.presentation.generator_names
+        return word_to_text(Word(tuple((i, 1) for i in self.group.path(x))), names)
 
     def random_element(self, rng: Random) -> int:
         return rng.randrange(self.group.order)
@@ -87,17 +83,10 @@ class FreeAbelianCarrier:
     """Z^n; elements are integer tuples of length n."""
 
     rank: int
-    names: tuple[str, ...] = ()
-
-    has_conjugacy = True
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise CarrierError("rank must be positive")
-        if not self.names:
-            object.__setattr__(self, "names", _auto_names(self.rank))
-        if len(self.names) != self.rank:
-            raise CarrierError("one name per coordinate required")
 
     @property
     def name(self) -> str:
@@ -121,20 +110,14 @@ class FreeAbelianCarrier:
     def canonical_class(self, x):
         return x
 
-    def generator_names(self) -> tuple[str, ...]:
-        return self.names
-
     def format_element(self, x) -> str:
         if all(v == 0 for v in x):
             return "e"
-        return "*".join(
-            self.names[i] if v == 1 else f"{self.names[i]}^{v}"
-            for i, v in enumerate(x)
-            if v
-        )
+        names = _auto_names(self.rank)
+        return "*".join(names[i] if v == 1 else f"{names[i]}^{v}" for i, v in enumerate(x) if v)
 
-    def random_element(self, rng: Random, bound: int = 3):
-        return tuple(rng.randint(-bound, bound) for _ in range(self.rank))
+    def random_element(self, rng: Random):
+        return tuple(rng.randint(-3, 3) for _ in range(self.rank))
 
 
 @dataclass(frozen=True)
@@ -142,17 +125,10 @@ class FreeCarrier:
     """Free group of given rank; elements are freely reduced words."""
 
     rank: int
-    names: tuple[str, ...] = ()
-
-    has_conjugacy = True
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise CarrierError("rank must be positive")
-        if not self.names:
-            object.__setattr__(self, "names", _auto_names(self.rank))
-        if len(self.names) != self.rank:
-            raise CarrierError("one name per generator required")
 
     @property
     def name(self) -> str:
@@ -179,11 +155,8 @@ class FreeCarrier:
         best = min(ls[k:] + ls[:k] for k in range(len(ls)))
         return Word(best)
 
-    def generator_names(self) -> tuple[str, ...]:
-        return self.names
-
     def format_element(self, x: Word) -> str:
-        return word_to_text(x, self.names)
+        return word_to_text(x, _auto_names(self.rank))
 
     def random_element(self, rng: Random, max_length: int = 4) -> Word:
         length = rng.randint(0, max_length)
@@ -225,8 +198,6 @@ class BaumslagSolitarCarrier:
 
     n: int
 
-    has_conjugacy = False
-
     def __post_init__(self) -> None:
         if self.n < 2:
             raise CarrierError("BS(1, n) carrier needs n >= 2")
@@ -257,9 +228,6 @@ class BaumslagSolitarCarrier:
             f"conjugacy canonicalization is not available for {self.name}"
         )
 
-    def generator_names(self) -> tuple[str, ...]:
-        return ("a", "t")
-
     def normal_form(self, x: BSElement) -> tuple[int, int, int]:
         """The triple (p, q, r) with x = t^-p a^q t^r."""
         p = max(_denominator_valuation(x.b, self.n), -x.k, 0)
@@ -283,8 +251,8 @@ class BaumslagSolitarCarrier:
             parts.append("t" if r == 1 else f"t^{r}")
         return "*".join(parts) if parts else "e"
 
-    def random_element(self, rng: Random, bound: int = 2) -> BSElement:
-        p = rng.randint(0, bound)
-        q = rng.randint(-self.n**bound, self.n**bound)
-        r = rng.randint(0, bound)
+    def random_element(self, rng: Random) -> BSElement:
+        p = rng.randint(0, 2)
+        q = rng.randint(-self.n**2, self.n**2)
+        r = rng.randint(0, 2)
         return self.from_normal_form(p, q, r)

@@ -80,10 +80,10 @@ class FiniteGroup:
             x = gp[i][x]
         return x
 
-    def evaluate(self, w: Word, start: int = 0) -> int:
+    def evaluate(self, w: Word) -> int:
         gp = self.gen_perms
         ip = self.inv_gen_perms
-        x = start
+        x = 0
         for i, s in w.letters:
             x = gp[i][x] if s == 1 else ip[i][x]
         return x

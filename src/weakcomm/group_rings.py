@@ -17,8 +17,6 @@ from math import lcm
 from random import Random
 from typing import Callable, Mapping, Sequence
 
-from .carriers import ConjugacyUnsupportedError
-
 
 class GroupRingError(ValueError):
     pass
@@ -315,14 +313,9 @@ class ClassFunction:
 def hattori_stallings(a: RingMatrix) -> ClassFunction:
     """Sum the diagonal coefficients over each conjugacy class.
 
-    Requires a carrier with conjugacy canonicalization; BS(1, n) raises an
-    explicit capability error."""
+    Requires a carrier with conjugacy canonicalization; BS(1, n)'s
+    ``canonical_class`` raises ``ConjugacyUnsupportedError``."""
     carrier = a.carrier
-    if not getattr(carrier, "has_conjugacy", False):
-        raise ConjugacyUnsupportedError(
-            f"Hattori-Stallings trace needs conjugacy canonicalization; "
-            f"{carrier.name} does not provide it"
-        )
     sums: dict = {}
     for i in range(a.n):
         for g, c in a.entries[i][i].items():
@@ -412,9 +405,9 @@ def trace_audit(a: RingMatrix) -> TraceReport:
 # ---------------------------------------------------------------------------
 
 
-def random_ring_element(carrier, rng: Random, max_support: int = 3) -> RingElement:
+def random_ring_element(carrier, rng: Random) -> RingElement:
     coeffs: dict = {}
-    for _ in range(rng.randint(1, max_support)):
+    for _ in range(rng.randint(1, 3)):
         g = carrier.random_element(rng)
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         if c:

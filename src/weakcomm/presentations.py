@@ -39,46 +39,32 @@ class UndeclaredGeneratorError(PresentationError):
 
 
 @dataclass(frozen=True)
-class GeneratorSymbol:
-    name: str
-    index: int
-
-    def __post_init__(self) -> None:
-        if not _IDENT_RE.match(self.name):
-            raise PresentationError(f"invalid generator name {self.name!r}")
-        if self.index < 0:
-            raise PresentationError(f"negative generator index {self.index}")
-
-
-@dataclass(frozen=True)
 class Presentation:
-    """Generators plus freely reduced relator words over their indices.
+    """Generator names plus freely reduced relator words over their indices
+    (generator i is ``generator_names[i]``).
 
     Relators that reduce to the empty word are dropped and duplicates
     (after free reduction) are removed, keeping first occurrences.
     """
 
-    generators: tuple[GeneratorSymbol, ...]
+    generator_names: tuple[str, ...]
     relators: tuple[Word, ...]
 
     def __post_init__(self) -> None:
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
+        for name in self.generator_names:
+            if not _IDENT_RE.match(name):
+                raise PresentationError(f"invalid generator name {name!r}")
+        if len(set(self.generator_names)) != len(self.generator_names):
             raise PresentationError("duplicate generator names")
-        for pos, g in enumerate(self.generators):
-            if g.index != pos:
-                raise PresentationError(
-                    f"generator {g.name!r} has index {g.index}, expected {pos}"
-                )
         cleaned: list[Word] = []
         seen: set[tuple] = set()
         for r in self.relators:
             if not isinstance(r, Word):
                 raise PresentationError("relators must be Word instances")
-            if r.max_index() >= len(self.generators):
+            if r.max_index() >= len(self.generator_names):
                 raise PresentationError(
                     f"relator uses generator index {r.max_index()}, "
-                    f"but only {len(self.generators)} generators are declared"
+                    f"but only {len(self.generator_names)} generators are declared"
                 )
             if r.is_identity() or r.letters in seen:
                 continue
@@ -88,22 +74,14 @@ class Presentation:
 
     @property
     def num_generators(self) -> int:
-        return len(self.generators)
-
-    @property
-    def generator_names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+        return len(self.generator_names)
 
     @staticmethod
     def make(names: Sequence[str], relators: Sequence[Word] = ()) -> "Presentation":
-        gens = tuple(GeneratorSymbol(n, i) for i, n in enumerate(names))
-        return Presentation(gens, tuple(relators))
-
-    def to_text(self) -> str:
-        return presentation_to_text(self)
+        return Presentation(tuple(names), tuple(relators))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode()).hexdigest()
+        return hashlib.sha256(presentation_to_text(self).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +165,16 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise PresentationSyntaxError(
-                f"expected {kind!r}, found {tok.value!r}", tok.line, tok.col
-            )
+            wanted = {"ident": "a generator name", "int": "an integer"}.get(kind, repr(kind))
+            raise PresentationSyntaxError(f"expected {wanted}, found {tok.value!r}", tok.line, tok.col)
         return self.advance()
+
+    def finish(self) -> None:
+        tail = self.peek()
+        if tail.kind != "end":
+            raise PresentationSyntaxError(
+                f"unexpected trailing input {tail.value!r}", tail.line, tail.col
+            )
 
     def word(self) -> Word:
         result = self.factor()
@@ -233,39 +217,16 @@ class _Parser:
 
 
 def parse_presentation(text: str) -> Presentation:
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> _Token:
-        return tokens[pos]
-
-    tok = peek()
-    if tok.kind != "<":
-        raise PresentationSyntaxError(f"expected '<', found {tok.value!r}", tok.line, tok.col)
-    pos += 1
-
+    parser = _Parser(_tokenize(text), {})
+    parser.expect("<")
     names: list[str] = []
-    while tokens[pos].kind == "ident":
-        names.append(str(tokens[pos].value))
-        pos += 1
-        if tokens[pos].kind == ",":
-            pos += 1
-            if tokens[pos].kind != "ident":
-                t = tokens[pos]
-                raise PresentationSyntaxError("expected generator name after ','", t.line, t.col)
-    if tokens[pos].kind != "|":
-        t = tokens[pos]
-        raise PresentationSyntaxError(f"expected '|', found {t.value!r}", t.line, t.col)
-    pos += 1
-
-    gen_index = {}
-    for i, name in enumerate(names):
-        if name in gen_index:
-            raise PresentationError(f"duplicate generator name {name!r}")
-        gen_index[name] = i
-
-    parser = _Parser(tokens, gen_index)
-    parser.pos = pos
+    if parser.peek().kind == "ident":
+        names.append(str(parser.advance().value))
+        while parser.peek().kind == ",":
+            parser.advance()
+            names.append(str(parser.expect("ident").value))
+    parser.expect("|")
+    parser.gen_index = {name: i for i, name in enumerate(names)}
     relators: list[Word] = []
     if parser.peek().kind != ">":
         relators.append(parser.word())
@@ -273,30 +234,22 @@ def parse_presentation(text: str) -> Presentation:
             parser.advance()
             relators.append(parser.word())
     parser.expect(">")
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise PresentationSyntaxError(
-            f"unexpected trailing input {tail.value!r}", tail.line, tail.col
-        )
+    parser.finish()
     return Presentation.make(names, relators)
 
 
 def parse_word(text: str, presentation: Presentation) -> Word:
     """Parse a single word expression over a presentation's generators."""
-    gen_index = {g.name: g.index for g in presentation.generators}
-    parser = _Parser(_tokenize(text), gen_index)
+    names = presentation.generator_names
+    parser = _Parser(_tokenize(text), {name: i for i, name in enumerate(names)})
     w = parser.word()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise PresentationSyntaxError(
-            f"unexpected trailing input {tail.value!r}", tail.line, tail.col
-        )
+    parser.finish()
     return w
 
 
-def word_to_text(w: Word, names: Sequence[str], identity: str = "e") -> str:
+def word_to_text(w: Word, names: Sequence[str]) -> str:
     if w.is_identity():
-        return identity
+        return "e"
     parts = []
     for index, exp in w.syllables():
         if exp == 1:
@@ -308,8 +261,8 @@ def word_to_text(w: Word, names: Sequence[str], identity: str = "e") -> str:
 
 def presentation_to_text(p: Presentation) -> str:
     pieces = ["<"]
-    if p.generators:
-        pieces.append(", ".join(g.name for g in p.generators))
+    if p.generator_names:
+        pieces.append(", ".join(p.generator_names))
     pieces.append("|")
     if p.relators:
         pieces.append(", ".join(word_to_text(r, p.generator_names) for r in p.relators))

@@ -635,7 +635,6 @@ def stem_audit(
     data: DoubleData,
     base_group: FiniteGroup,
     analysis: KernelAnalysis | None = None,
-    limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> StemReport:
     """Audit the extension W -> X -> G^3 for a perfect finite base: rho
     surjective, W central, W inside the derived subgroup, X perfect.
@@ -649,7 +648,7 @@ def stem_audit(
     x_perfect = is_perfect(data.double)
 
     if analysis is None:
-        analysis = analyze_double_kernel(data, base_group, limits)
+        analysis = analyze_double_kernel(data, base_group)
     elif analysis.table.presentation != data.double or analysis.base_order != m:
         raise SidkiError("supplied kernel analysis is not of this double")
     # X perfect gives W <= X' = X; otherwise containment is not computed.

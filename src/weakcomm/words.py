@@ -75,8 +75,8 @@ class Word:
         return _IDENTITY
 
     @staticmethod
-    def gen(index: int, sign: int = 1) -> "Word":
-        return Word(((index, sign),))
+    def gen(index: int) -> "Word":
+        return Word(((index, 1),))
 
     def __mul__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
@@ -89,9 +89,6 @@ class Word:
 
     def inverse(self) -> "Word":
         return _reduced(tuple(_LETTERS[letter][1] for letter in reversed(self.letters)))
-
-    def __invert__(self) -> "Word":
-        return self.inverse()
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else self.inverse()

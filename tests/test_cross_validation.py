@@ -14,7 +14,7 @@ from math import prod
 import pytest
 
 from weakcomm.finite_groups import derived_subgroup, realize
-from weakcomm.presentations import Presentation
+from weakcomm.presentations import Presentation, presentation_to_text
 from weakcomm.smith import abelianization
 from weakcomm.todd_coxeter import (
     EnumerationLimits,
@@ -52,7 +52,7 @@ def test_abelian_presentations_match_smith_form():
         if expected > 2000:
             continue
         table = enumerate_cosets(p)
-        assert table.num_cosets == expected, (p.to_text(), expected, table.num_cosets)
+        assert table.num_cosets == expected, (presentation_to_text(p), expected, table.num_cosets)
         closure_audit(table)
         checked += 1
     assert checked >= 20  # the sample must actually exercise the finite route

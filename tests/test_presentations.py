@@ -107,6 +107,29 @@ def test_presentation_invariants():
         Presentation.make(["a"], [Word.gen(1)])
 
 
+@pytest.mark.parametrize(
+    "build, column",
+    [
+        pytest.param(lambda: parse_presentation("a | >"), 1, id="missing-open"),
+        pytest.param(lambda: parse_presentation("< a b | a^2 >"), 5, id="missing-comma"),
+        pytest.param(lambda: parse_presentation("< a, | >"), 6, id="trailing-comma"),
+        pytest.param(lambda: parse_presentation("< a, b >"), 8, id="missing-bar"),
+        pytest.param(lambda: parse_presentation("< a | a"), 8, id="missing-close"),
+        pytest.param(lambda: parse_presentation("< a | a > x"), 11, id="trailing-input"),
+        pytest.param(lambda: parse_presentation("< a, a | >"), None, id="repeated-name"),
+        pytest.param(lambda: Presentation.make(["a-b"]), None, id="invalid-name"),
+    ],
+)
+def test_header_errors(build, column):
+    with pytest.raises(PresentationError) as exc:
+        build()
+    if column is None:
+        assert not isinstance(exc.value, PresentationSyntaxError)
+    else:
+        assert isinstance(exc.value, PresentationSyntaxError)
+        assert (exc.value.line, exc.value.col) == (1, column)
+
+
 def test_direct_power_counts():
     p = parse_presentation("< a | a^2 >")
     d3 = direct_power(p, 3)
