@@ -35,7 +35,7 @@ from .presentations import (
     PresentationError,
     direct_power,
     parse_presentation,
-    parse_word,
+    parse_words,
     presentation_to_text,
 )
 from .sidki import (
@@ -53,6 +53,7 @@ from .smith import is_perfect
 from .todd_coxeter import (
     CosetEnumerationError,
     CosetTable,
+    DEFAULT_LIMITS,
     EnumerationLimits,
     LimitExceeded,
     closure_audit,
@@ -180,11 +181,7 @@ def scenario_parse(args) -> tuple[list[ScenarioReport], int]:
 
 def scenario_enumerate(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
-    subgroup = tuple(
-        parse_word(chunk.strip(), pres)
-        for chunk in (args.subgroup.split(",") if args.subgroup else [])
-        if chunk.strip()
-    )
+    subgroup = parse_words(args.subgroup or "", pres)
     report = ScenarioReport(
         "enumerate", _digest(text, args.subgroup or "", *_limit_texts(args))
     )
@@ -516,8 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_limits(p):
         add_json(p)
-        p.add_argument("--max-cosets", type=_positive_int, default=2_000_000)
-        p.add_argument("--max-definitions", type=_positive_int, default=10_000_000)
+        p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_LIMITS.max_cosets)
+        p.add_argument(
+            "--max-definitions", type=_positive_int, default=DEFAULT_LIMITS.max_definitions
+        )
 
     p = sub.add_parser("parse", help="echo the canonical form of a presentation file")
     p.add_argument("file")

@@ -2,9 +2,9 @@
 
 Text format: ``< g1, g2, ... | r1, r2, ... >`` with identifiers matching
 ``[A-Za-z][A-Za-z0-9_]*``.  Relator expressions use ``*`` for concatenation,
-``^`` for integer exponents (negative allowed), ``[x,y]`` as commutator sugar
-for x^-1 y^-1 x y, and parentheses.  Whitespace is insignificant and ``#``
-starts a line comment.
+``^`` for ASCII integer exponents (negative allowed), ``[x,y]`` as
+commutator sugar for x^-1 y^-1 x y, and parentheses.  Whitespace is
+insignificant and ``#`` starts a line comment.
 """
 
 from __future__ import annotations
@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .words import Word, commutator, shift_word
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_NAME + r"\Z")
 
 
 class PresentationError(ValueError):
@@ -85,166 +86,119 @@ class Presentation:
 
 
 # ---------------------------------------------------------------------------
-# Lexer / parser
+# Tokenizer / parser
 # ---------------------------------------------------------------------------
 
-_PUNCT = "<>|,*^()[]"
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # one of _PUNCT, "int", "ident", "end"
-    value: object
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == "-" or ch.isdigit():
-            start, scol = i, col
-            j = i + 1 if ch == "-" else i
-            while j < n and text[j].isdigit():
-                j += 1
-            digits = text[i:j]
-            if digits in ("", "-"):
-                raise PresentationSyntaxError("expected digits after '-'", line, col)
-            tokens.append(_Token("int", int(digits), line, scol))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha():
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise PresentationSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("end", None, line, col))
-    return tokens
+# Whitespace and comments match without a named group; any other character
+# matches ``bad``.
+_TOKEN_RE = re.compile(
+    rf"[ \t\r\n]+|#.*|(?P<ident>{_NAME})|(?P<int>-?[0-9]+)|(?P<punct>[<>|,*^()\[\]])|(?P<bad>.)"
+)
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], gen_index: dict[str, int]):
-        self.tokens = tokens
+    """Recursive descent over ``(kind, text, offset)`` tokens, where the kind
+    of punctuation is the character itself."""
+
+    def __init__(self, text: str, names: Sequence[str] = ()):
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise PresentationSyntaxError(
+                    f"unexpected character {m.group()!r}", *self.position(m.start())
+                )
+            if kind:
+                self.tokens.append((m.group() if kind == "punct" else kind, m.group(), m.start()))
+        self.tokens.append(("end", "end of input", len(text)))
         self.pos = 0
-        self.gen_index = gen_index
+        self.gen_index = {name: i for i, name in enumerate(names)}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def position(self, offset: int) -> tuple[int, int]:
+        """The 1-based line and column of ``text[offset]``."""
+        return self.text.count("\n", 0, offset) + 1, offset - self.text.rfind("\n", 0, offset)
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] != kind:
+            return False
         self.pos += 1
-        return tok
+        return True
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            wanted = {"ident": "a generator name", "int": "an integer"}.get(kind, repr(kind))
-            raise PresentationSyntaxError(f"expected {wanted}, found {tok.value!r}", tok.line, tok.col)
-        return self.advance()
+    def expect(self, kind: str) -> str:
+        if not self.accept(kind):
+            wanted = {"ident": "a generator name", "int": "an integer", "end": "end of input"}
+            self.fail(f"expected {wanted.get(kind, repr(kind))}")
+        return self.tokens[self.pos - 1][1]
 
-    def finish(self) -> None:
-        tail = self.peek()
-        if tail.kind != "end":
-            raise PresentationSyntaxError(
-                f"unexpected trailing input {tail.value!r}", tail.line, tail.col
-            )
+    def fail(self, expected: str) -> NoReturn:
+        kind, text, offset = self.tokens[self.pos]
+        found = text if kind == "end" else repr(text)
+        raise PresentationSyntaxError(f"{expected}, found {found}", *self.position(offset))
+
+    def comma_list(self, item: Callable[[], object], close: str) -> list:
+        """Items separated by commas, up to ``close`` (which is consumed);
+        empty when ``close`` comes first."""
+        items = []
+        if not self.accept(close):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+            self.expect(close)
+        return items
 
     def word(self) -> Word:
         result = self.factor()
-        while self.peek().kind == "*":
-            self.advance()
+        while self.accept("*"):
             result = result * self.factor()
         return result
 
     def factor(self) -> Word:
         atom = self.atom()
-        if self.peek().kind == "^":
-            self.advance()
-            exp = self.expect("int")
-            return atom ** int(exp.value)  # type: ignore[arg-type]
-        return atom
+        return atom ** int(self.expect("int")) if self.accept("^") else atom
 
     def atom(self) -> Word:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            name = str(tok.value)
+        if self.accept("ident"):
+            _, name, offset = self.tokens[self.pos - 1]
             if name not in self.gen_index:
-                raise UndeclaredGeneratorError(name, tok.line, tok.col)
+                raise UndeclaredGeneratorError(name, *self.position(offset))
             return Word.gen(self.gen_index[name])
-        if tok.kind == "(":
-            self.advance()
+        if self.accept("("):
             inner = self.word()
             self.expect(")")
             return inner
-        if tok.kind == "[":
-            self.advance()
+        if self.accept("["):
             left = self.word()
             self.expect(",")
             right = self.word()
             self.expect("]")
             return commutator(left, right)
-        raise PresentationSyntaxError(
-            f"expected a word, found {tok.value!r}", tok.line, tok.col
-        )
+        self.fail("expected a word")
 
 
 def parse_presentation(text: str) -> Presentation:
-    parser = _Parser(_tokenize(text), {})
+    parser = _Parser(text)
     parser.expect("<")
-    names: list[str] = []
-    if parser.peek().kind == "ident":
-        names.append(str(parser.advance().value))
-        while parser.peek().kind == ",":
-            parser.advance()
-            names.append(str(parser.expect("ident").value))
-    parser.expect("|")
+    names = parser.comma_list(lambda: parser.expect("ident"), "|")
     parser.gen_index = {name: i for i, name in enumerate(names)}
-    relators: list[Word] = []
-    if parser.peek().kind != ">":
-        relators.append(parser.word())
-        while parser.peek().kind == ",":
-            parser.advance()
-            relators.append(parser.word())
-    parser.expect(">")
-    parser.finish()
+    relators = parser.comma_list(parser.word, ">")
+    parser.expect("end")
     return Presentation.make(names, relators)
 
 
 def parse_word(text: str, presentation: Presentation) -> Word:
     """Parse a single word expression over a presentation's generators."""
-    names = presentation.generator_names
-    parser = _Parser(_tokenize(text), {name: i for i, name in enumerate(names)})
+    parser = _Parser(text, presentation.generator_names)
     w = parser.word()
-    parser.finish()
+    parser.expect("end")
     return w
+
+
+def parse_words(text: str, presentation: Presentation) -> list[Word]:
+    """Parse comma-separated words over a presentation's generators; empty
+    text gives no words, and an empty item is an error."""
+    parser = _Parser(text, presentation.generator_names)
+    return parser.comma_list(parser.word, "end")
 
 
 def word_to_text(w: Word, names: Sequence[str]) -> str:

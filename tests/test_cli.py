@@ -43,6 +43,12 @@ def test_parse_reports_syntax_error(tmp_path, capsys):
     bad.write_text("< a | b^2 >\n")
     assert main(["parse", str(bad)]) == EXIT_USAGE
     assert "undeclared" in capsys.readouterr().err
+    # a superscript exponent is a syntax error, not an uncaught ValueError
+    bad.write_text("< a | a^\u00b2 >\n")
+    assert main(["parse", str(bad)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unexpected character '\u00b2' (line 1, column 9)" in err
+    assert "Traceback" not in err
 
 
 def test_enumerate_index(files, capsys):
@@ -53,6 +59,12 @@ def test_enumerate_index(files, capsys):
 def test_enumerate_subgroup_flag(files, capsys):
     assert main(["enumerate", files["a5"], "--subgroup", "a"]) == EXIT_PASS
     assert "index: 30" in capsys.readouterr().out
+    # the items are words in the relator syntax, commutator sugar included
+    assert main(["enumerate", files["a5"], "--subgroup", "[a,b]"]) == EXIT_PASS
+    assert "index: 12" in capsys.readouterr().out
+    # an empty item is an error, as in the header
+    assert main(["enumerate", files["a5"], "--subgroup", "a,"]) == EXIT_USAGE
+    assert "expected a word, found end of input" in capsys.readouterr().err
 
 
 def test_enumerate_limit_is_inconclusive(files, capsys):

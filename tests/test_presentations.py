@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakcomm.presentations import (
     GeneratorMap,
@@ -13,6 +14,7 @@ from weakcomm.presentations import (
     free_identity_decider,
     parse_presentation,
     parse_word,
+    parse_words,
     presentation_to_text,
     relator_identity_decider,
     word_to_text,
@@ -100,6 +102,40 @@ def test_parse_word_helper():
         parse_word("c", p)
 
 
+def test_parse_words_is_a_comma_list():
+    p = parse_presentation("< a, b | >")
+    assert parse_words("", p) == []
+    assert parse_words(" a , [a,b] ", p) == [Word.gen(0), commutator(Word.gen(0), Word.gen(1))]
+    for text, column in (("a,", 3), ("a,,b", 3), (",a", 1), ("[a,", 4)):
+        with pytest.raises(PresentationSyntaxError) as exc:
+            parse_words(text, p)
+        assert (exc.value.line, exc.value.col) == (1, column)
+
+
+def test_error_at_the_end_names_the_end_of_input():
+    with pytest.raises(PresentationSyntaxError, match="found end of input"):
+        parse_presentation("< a | a")
+    with pytest.raises(PresentationSyntaxError, match="found end of input"):
+        parse_words("[a,", parse_presentation("< a, b | >"))
+
+
+# single spaces between tokens keep every integer at two digits at most, so
+# no exponent allocates a long word
+TOKENS = list("<>|,*^()[]") + ["a", "b", "-", "2", "-3", "\u00b2", "\u00e9", "\n", "#c\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), max_size=30), st.booleans())
+def test_any_text_parses_and_round_trips_or_raises_a_presentation_error(tokens, framed):
+    if framed:  # a valid header, so that some texts parse
+        tokens = ["<", "a", ",", "b", "|", *tokens, ">"]
+    try:
+        p = parse_presentation(" ".join(tokens))
+    except PresentationError:
+        return
+    assert parse_presentation(presentation_to_text(p)) == p
+
+
 def test_presentation_invariants():
     with pytest.raises(PresentationError):
         Presentation.make(["a", "a"])
@@ -116,6 +152,9 @@ def test_presentation_invariants():
         pytest.param(lambda: parse_presentation("< a, b >"), 8, id="missing-bar"),
         pytest.param(lambda: parse_presentation("< a | a"), 8, id="missing-close"),
         pytest.param(lambda: parse_presentation("< a | a > x"), 11, id="trailing-input"),
+        pytest.param(lambda: parse_presentation("< a | a^\u00b2 >"), 9, id="superscript-exponent"),
+        pytest.param(lambda: parse_presentation("< a | a^\u0663 >"), 9, id="non-ascii-digit"),
+        pytest.param(lambda: parse_presentation("< \u00e9 | >"), 3, id="non-ascii-name"),
         pytest.param(lambda: parse_presentation("< a, a | >"), None, id="repeated-name"),
         pytest.param(lambda: Presentation.make(["a-b"]), None, id="invalid-name"),
     ],

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from weakcomm.cli import build_parser
 from weakcomm.finite_groups import realize
-from weakcomm.presentations import parse_presentation
+from weakcomm.presentations import parse_presentation, parse_words
 from weakcomm.sidki import SHORT_WORD_LENGTH, double_presentation
 from weakcomm.todd_coxeter import enumerate_cosets
 
@@ -47,3 +47,11 @@ def test_command_line_block_lists_the_parser_subcommands():
     listed = {line.split()[1] for line in section_block("## Command line").splitlines()}
     (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert listed == set(subparsers.choices)
+
+
+def test_documented_presentation_and_subgroup_syntax_parse():
+    p = parse_presentation(section_block("Presentation files look like:"))
+    assert p.generator_names == ("a", "b")
+    match = re.search(r'--subgroup "([^"]*)"', section_block("## Command line"))
+    assert match, "the Command line block no longer shows --subgroup"
+    assert len(parse_words(match.group(1), p)) == 2
