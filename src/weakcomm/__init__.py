@@ -41,13 +41,11 @@ from .sidki import (
     DoubleData,
     KernelAnalysis,
     RelatorSchedule,
-    StemReport,
     TorsionReport,
     analyze_double_kernel,
     canonical_maps,
     double_presentation,
     identity_witness,
-    stem_audit,
     subgroup_families,
     torsion_probe,
 )

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -39,7 +40,6 @@ from .presentations import (
     presentation_to_text,
 )
 from .sidki import (
-    PerfectBaseRequired,
     RelatorSchedule,
     SidkiError,
     analyze_double_kernel,
@@ -47,7 +47,6 @@ from .sidki import (
     double_presentation,
     identity_witness,
     rho_on_elements,
-    stem_audit,
 )
 from .smith import is_perfect
 from .todd_coxeter import (
@@ -240,42 +239,47 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
     return [report], report.exit_code()
 
 
-def _kernel_pipeline(pres, args):
-    """Realize G, build its FULL double and analyze ker(rho) under the
-    command's limits; raises LimitExceeded when one is hit."""
-    base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-    data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
-    return base_group, data, analyze_double_kernel(data, base_group, _limits(args))
-
-
 def _order_counts(orders: tuple[int, ...]) -> str:
     """Sorted ``order:count`` pairs, e.g. ``1:1,2:2047`` for the W of C2^4."""
     return ",".join(f"{o}:{orders.count(o)}" for o in sorted(set(orders)))
-
-
-def _kernel_failed(
-    report: ScenarioReport, exc: SidkiError
-) -> tuple[list[ScenarioReport], int]:
-    """Record a failed certificate of the kernel stage as a failed
-    ``kernel-computed`` verdict and end the scenario with it."""
-    report.record("kernel-computed", False)
-    report.payload["kernelError"] = str(exc)
-    print(f"error: {exc}", file=sys.stderr)
-    return [report], report.exit_code()
 
 
 def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
     report = ScenarioReport("analyze-w", _digest(text, *_limit_texts(args)))
     try:
-        _, _, analysis = _kernel_pipeline(pres, args)
+        base_group = realize(enumerate_cosets(pres, (), _limits(args)))
+        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
+        analysis = analyze_double_kernel(data, base_group, _limits(args))
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
     except SidkiError as exc:
-        return _kernel_failed(report, exc)
+        # a failed certificate of the kernel stage is a verdict, not a crash
+        report.record("kernel-computed", False)
+        report.payload["kernelError"] = str(exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return [report], report.exit_code()
     report.record("kernel-computed", True)
     report.record("lagrange", analysis.lagrange_consistent)
     report.record("w-abelian", analysis.w_abelian)
+    if is_perfect(pres):
+        # the stem extension W -> X -> G^3.  X perfect gives W <= X' = X;
+        # otherwise containment is not computed.  W central and inside X'
+        # must stand or fall with X perfect.
+        x_perfect = is_perfect(data.double)
+        central = analysis.w_central
+        for name, ok in (
+            ("rho-surjective", analysis.rho_image_order == analysis.base_order**3),
+            ("w-central", central),
+            ("w-in-derived", True if x_perfect else None),
+            ("x-perfect", x_perfect),
+            ("lemma-consistent", None if central and not x_perfect else central == x_perfect),
+        ):
+            if ok is None:
+                report.inconclusive(name, "W in X' is not computed when X is not perfect")
+            else:
+                report.record(name, ok)
+            print(f"{name}: {report.verdicts[name]}")
     report.payload["xOrder"] = str(analysis.x_order)
     report.payload["wOrder"] = str(analysis.w_order)
     report.payload["rhoImageOrder"] = str(analysis.rho_image_order)
@@ -288,41 +292,6 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
         f"|im rho| = {analysis.rho_image_order}"
     )
     print(f"W element orders (order:count): {_order_counts(analysis.w_element_orders)}")
-    return [report], report.exit_code()
-
-
-def scenario_stem_audit(args) -> tuple[list[ScenarioReport], int]:
-    text, pres = _read_presentation(args.file)
-    report = ScenarioReport("stem-audit", _digest(text, *_limit_texts(args)))
-    if not is_perfect(pres):
-        raise PerfectBaseRequired("stem audit requires a perfect base group")
-    try:
-        base_group, data, analysis = _kernel_pipeline(pres, args)
-    except LimitExceeded as exc:
-        return _inconclusive(report, "enumeration", exc)
-    except SidkiError as exc:
-        return _kernel_failed(report, exc)
-    stem = stem_audit(data, base_group, analysis)
-    for name, ok in (
-        ("rho-surjective", stem.rho_surjective),
-        ("w-central", stem.w_central),
-        ("w-in-derived", stem.w_in_derived),
-        ("x-perfect", stem.x_perfect),
-        ("lemma-consistent", stem.lemma_consistent),
-        ("lagrange", stem.lagrange_consistent),
-    ):
-        if ok is None:
-            report.inconclusive(name, "W in X' is not computed when X is not perfect")
-        else:
-            report.record(name, ok)
-    report.payload["xOrder"] = str(stem.x_order)
-    report.payload["wOrder"] = str(stem.w_order)
-    report.payload["rhoImageOrder"] = str(stem.rho_image_order)
-    report.payload["wElementOrders"] = _order_counts(stem.w_element_orders)
-    _record_table(report, analysis.table)
-    for name, verdict in sorted(report.verdicts.items()):
-        print(f"{name}: {verdict}")
-    print(f"|X| = {stem.x_order}, |W| = {stem.w_order}")
     return [report], report.exit_code()
 
 
@@ -445,7 +414,6 @@ _REPORT_SUITE_FILES = {
 
 def scenario_report(args) -> tuple[list[ScenarioReport], int]:
     import tempfile
-    import os
 
     parser = build_parser()
     limits = [
@@ -537,10 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     add_limits(p)
 
-    p = sub.add_parser("stem-audit", help="stem-extension audit (perfect base only)")
-    p.add_argument("file")
-    add_limits(p)
-
     p = sub.add_parser("identities", help="sample the two commutator identities")
     p.add_argument("--group", choices=_IDENTITY_GROUPS, default="f2")
     p.add_argument("--file", help="presentation file for --group finite")
@@ -565,7 +529,6 @@ _COMMANDS = {
     "enumerate": scenario_enumerate,
     "double": scenario_double,
     "analyze-w": scenario_analyze_w,
-    "stem-audit": scenario_stem_audit,
     "identities": scenario_identities,
     "ring-audit": scenario_ring_audit,
     "report": scenario_report,
@@ -582,10 +545,17 @@ def main(argv: list[str] | None = None) -> int:
         # opened first, so that a path that cannot be written fails before any work
         out = open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext()
         with out as fh:
-            reports, code = _timed(_COMMANDS[args.command], args)
-            if fh is not None:
-                _write_json(reports, fh)
-    except (PresentationError, PerfectBaseRequired, UsageError, OSError) as exc:
+            try:
+                reports, code = _timed(_COMMANDS[args.command], args)
+                if fh is not None:
+                    _write_json(reports, fh)
+            except BaseException:
+                # leave no empty report behind; a device or a link is kept
+                if fh is not None and os.path.isfile(args.json) and not os.path.islink(args.json):
+                    fh.close()
+                    os.remove(args.json)
+                raise
+    except (PresentationError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (SidkiError, CosetEnumerationError, FiniteGroupError) as exc:

@@ -25,7 +25,6 @@ embeddings iota, iota_psi.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable
@@ -49,7 +48,6 @@ from .presentations import (
     free_identity_decider,
     relator_identity_decider,
 )
-from .smith import is_perfect
 from .todd_coxeter import (
     CosetEnumerationError,
     CosetTable,
@@ -70,10 +68,6 @@ class SidkiError(ValueError):
 
 class ScheduleError(SidkiError):
     pass
-
-
-class PerfectBaseRequired(SidkiError):
-    """The audited construction requires a perfect base group."""
 
 
 PSI_MARKER = "_psi"
@@ -506,7 +500,7 @@ def analyze_double_kernel(
         for x in range(data.double.num_generators)
     )
 
-    rho_image_order = _rho_image_order(base_group, g, step)
+    rho_image_order = _rho_image_order(base_group)
     # Sidki (1980): im(rho) = {(a, b, c) : a b^-1 c in G'}, of order |G|^2 |G'|.
     expected = m * m * derived_subgroup(base_group).order
     if rho_image_order != expected:
@@ -569,101 +563,29 @@ def _coset_order(table: CosetTable, w: Word) -> int:
     return k
 
 
-def _rho_image_order(base_group: FiniteGroup, g: int, step) -> int:
-    """Order of the subgroup H of base^3 generated by the rho images of the
-    double's generators, by Schreier's lemma for the projection of H onto
-    its first two coordinates.
+def _rho_image_order(base_group: FiniteGroup) -> int:
+    """Order of im(rho), counted on the graph Gamma of its right cosets of
+    rho(iota_psi(G)) = {(e, q, q)}.
 
-    A breadth-first search over the pairs (a, b) keeps, per pair, the third
-    coordinate c of its transversal element (a, b, c).  An edge that reaches
-    a known pair closes a Schreier generator (e, e, c' c_known^-1); these
-    generate the kernel K of the projection, so |H| = #pairs * |K|.  Memory
-    is O(|G|^2), never O(|G|^3)."""
+    The coset through (x, y, z) is named one-to-one by the vertex
+    (x, z^-1 y); iota(a) moves (x, u) to (x a, u a), and iota_psi(a) moves it
+    to (x, a^-1 u a).  rho is injective on iota_psi(G), so |im rho| is |G|
+    times the number of vertices reached from (e, e).  The breadth-first
+    search takes O(|G| |G'| g) steps for g generators and O(|G|^2) bytes."""
     m = base_group.order
-    third = [-1] * (m * m)
-    third[0] = 0
-    pairs = 1
-    queue = deque([(0, 0, 0)])
-    cols = [2 * i for i in range(2 * g)]  # positive letters generate
-    closing: set[tuple[int, int]] = set()
-    while queue:
-        t = queue.popleft()
-        for col in cols:
-            nt = step(t, col)
-            key = nt[0] * m + nt[1]
-            known = third[key]
-            if known < 0:
-                third[key] = nt[2]
-                pairs += 1
-                queue.append(nt)
-            elif known != nt[2]:
-                closing.add((nt[2], known))
-    schreier = [base_group.mul(c, base_group.inv(k)) for c, k in closing]
-    return pairs * subgroup_generated(base_group, schreier).order
-
-
-# ---------------------------------------------------------------------------
-# Stem-extension audit for perfect bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StemReport:
-    base_order: int
-    x_order: int
-    w_order: int
-    rho_image_order: int
-    rho_surjective: bool
-    w_central: bool
-    w_in_derived: bool | None  # None: not computed
-    x_perfect: bool
-    lagrange_consistent: bool
-    w_element_orders: tuple[int, ...]
-
-    @property
-    def lemma_consistent(self) -> bool | None:
-        """Centrality-with-containment and perfectness of the double must
-        stand or fall together for a perfect base.  None when W is central
-        but its containment in X' was not computed."""
-        if self.w_central and self.w_in_derived is None:
-            return None
-        stem = self.w_central and self.w_in_derived is True
-        return stem == self.x_perfect
-
-
-def stem_audit(
-    data: DoubleData,
-    base_group: FiniteGroup,
-    analysis: KernelAnalysis | None = None,
-) -> StemReport:
-    """Audit the extension W -> X -> G^3 for a perfect finite base: rho
-    surjective, W central, W inside the derived subgroup, X perfect.
-
-    Reads the coset table of the double over iota_psi(G), reusing
-    ``analysis`` when the caller already holds the kernel analysis of
-    ``data``.  Refuses a non-perfect base."""
-    if not is_perfect(data.base):
-        raise PerfectBaseRequired("stem audit requires a perfect base group")
-    m = base_group.order
-    x_perfect = is_perfect(data.double)
-
-    if analysis is None:
-        analysis = analyze_double_kernel(data, base_group)
-    elif analysis.table.presentation != data.double or analysis.base_order != m:
-        raise SidkiError("supplied kernel analysis is not of this double")
-    # X perfect gives W <= X' = X; otherwise containment is not computed.
-    return StemReport(
-        base_order=m,
-        x_order=analysis.x_order,
-        w_order=analysis.w_order,
-        rho_image_order=analysis.rho_image_order,
-        rho_surjective=analysis.rho_image_order == m**3,
-        w_central=analysis.w_central,
-        w_in_derived=True if x_perfect else None,
-        x_perfect=x_perfect,
-        lagrange_consistent=analysis.lagrange_consistent,
-        w_element_orders=analysis.w_element_orders,
-    )
+    gp = base_group.gen_perms
+    conj = [base_group.conjugation_table(j) for j in range(len(gp))]
+    seen = bytearray(m * m)
+    seen[0] = 1
+    queue = [0]  # vertices x * m + u, in visit order
+    for key in queue:  # the queue grows while it is scanned
+        x, u = divmod(key, m)
+        for a, c in zip(gp, conj):
+            for k in (a[x] * m + a[u], x * m + c[u]):
+                if not seen[k]:
+                    seen[k] = 1
+                    queue.append(k)
+    return len(queue) * m
 
 
 # ---------------------------------------------------------------------------

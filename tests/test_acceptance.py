@@ -38,11 +38,10 @@ from weakcomm.sidki import (
     analyze_double_kernel,
     double_presentation,
     identity_witness,
-    stem_audit,
     subgroup_families,
     torsion_probe,
 )
-from weakcomm.smith import abelianization
+from weakcomm.smith import abelianization, is_perfect
 from weakcomm.todd_coxeter import closure_audit, enumerate_cosets
 
 A5_TEXT = "< a, b | a^2, b^3, (a*b)^5 >"
@@ -122,18 +121,18 @@ def test_criterion_4_stem_audit_a5():
         analysis = analyze_double_kernel(data, base)
         assert analysis.x_order == analysis.index * 60
         closure_audit(analysis.table)  # exhaustive relator/permutation check
-        report = stem_audit(data, base, analysis=analysis)
-        assert report.rho_image_order == 60**3 == 216000
-        assert report.rho_surjective
-        assert report.w_central
-        assert report.w_in_derived
-        assert report.x_perfect
-        assert report.lagrange_consistent
+        # the stem verdicts of analyze-w: rho surjective, W central, X
+        # perfect (so W <= X' = X), Lagrange
+        assert is_perfect(p)
+        assert analysis.rho_image_order == 60**3 == 216000
+        assert analysis.w_central
+        assert is_perfect(data.double)
+        assert analysis.lagrange_consistent
         # the two known quotient constraints bound |W|: even and at most 8
-        assert report.w_order % 2 == 0 and 2 <= report.w_order <= 8
+        assert analysis.w_order % 2 == 0 and 2 <= analysis.w_order <= 8
         # regression pins from the first verified run
-        assert report.x_order == 432000
-        assert report.w_order == 2
+        assert analysis.x_order == 432000
+        assert analysis.w_order == 2
 
 
 def test_criterion_5_trivial_base_is_vacuous():
@@ -142,10 +141,11 @@ def test_criterion_5_trivial_base_is_vacuous():
         base = realize(enumerate_cosets(p))
         data = double_presentation(p, base.words, RelatorSchedule.FULL)
         assert enumerate_cosets(data.double).num_cosets == 1
-        report = stem_audit(data, base)
-        assert report.rho_surjective and report.w_central and report.w_in_derived
-        assert report.x_perfect and report.lagrange_consistent
-        assert report.x_order == 1 and report.w_order == 1
+        analysis = analyze_double_kernel(data, base)
+        assert is_perfect(p) and is_perfect(data.double)  # so W <= X' = X
+        assert analysis.rho_image_order == 1 and analysis.w_central
+        assert analysis.lagrange_consistent
+        assert analysis.x_order == 1 and analysis.w_order == 1
 
 
 def test_criterion_6_identity_suite():

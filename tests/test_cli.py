@@ -143,20 +143,13 @@ def test_analyze_w_klein(files, tmp_path):
     assert report["verdicts"]["lagrange"] == "pass"
 
 
-def test_w_element_orders_are_counted_per_order(files, tmp_path, monkeypatch, capsys):
+def test_w_element_orders_are_counted_per_order(files, tmp_path, capsys):
     # one order:count pair per order, not one entry per element of W
     out_path = tmp_path / "w.json"
     assert main(["--json", str(out_path), "analyze-w", files["klein"]]) == EXIT_PASS
     (report,) = json.loads(out_path.read_text())
     assert report["payload"]["wElementOrders"] == "1:1,2:1"
     assert "W element orders (order:count): 1:1,2:1" in capsys.readouterr().out
-    # stem-audit on the Klein base, passed off as perfect as in the
-    # containment test below
-    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
-    monkeypatch.setattr(sidki, "is_perfect", lambda p: p.num_generators == 2)
-    assert main(["--json", str(out_path), "stem-audit", files["klein"]]) == EXIT_INCONCLUSIVE
-    (report,) = json.loads(out_path.read_text())
-    assert report["payload"]["wElementOrders"] == "1:1,2:1"
 
 
 def test_analyze_w_enumerates_the_double_once(files, monkeypatch):
@@ -172,18 +165,32 @@ def test_analyze_w_enumerates_the_double_once(files, monkeypatch):
     assert len([s for s in calls if s]) == 1  # over iota_psi(G), by the certificate
 
 
-def test_stem_audit_rejects_imperfect(files, capsys):
-    assert main(["stem-audit", files["c2"]]) == EXIT_USAGE
-    assert "perfect" in capsys.readouterr().err
+STEM_VERDICTS = ("rho-surjective", "w-central", "w-in-derived", "x-perfect", "lemma-consistent")
+
+
+def test_stem_verdicts_ride_on_analyze_w(files, tmp_path, capsys):
+    # the stem-extension audit is part of analyze-w, for perfect bases only
+    assert main(["stem-audit", files["a5"]]) == EXIT_USAGE
+    out_path = tmp_path / "w.json"
+    assert main(["--json", str(out_path), "analyze-w", files["a5"]]) == EXIT_PASS
+    (report,) = json.loads(out_path.read_text())
+    assert {name: report["verdicts"][name] for name in STEM_VERDICTS} == dict.fromkeys(
+        STEM_VERDICTS, "pass"
+    )
+    assert report["payload"]["rhoImageOrder"] == "216000"
+    assert "lemma-consistent: pass" in capsys.readouterr().out
+    assert main(["--json", str(out_path), "analyze-w", files["c2"]]) == EXIT_PASS
+    (report,) = json.loads(out_path.read_text())
+    assert not set(STEM_VERDICTS) & set(report["verdicts"])
 
 
 def test_stem_audit_containment_not_computed_is_inconclusive(files, tmp_path, monkeypatch):
     # the Klein base passes as perfect and its double (4 generators) does not
-    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
-    monkeypatch.setattr(sidki, "is_perfect", lambda p: p.num_generators == 2)
-    out_path = tmp_path / "stem.json"
-    assert main(["--json", str(out_path), "stem-audit", files["klein"]]) == EXIT_INCONCLUSIVE
+    monkeypatch.setattr(cli, "is_perfect", lambda p: p.num_generators == 2)
+    out_path = tmp_path / "w.json"
+    assert main(["--json", str(out_path), "analyze-w", files["klein"]]) == EXIT_INCONCLUSIVE
     (report,) = json.loads(out_path.read_text())
+    assert report["verdicts"]["w-central"] == "pass"
     assert report["verdicts"]["w-in-derived"] == "inconclusive"
     assert report["verdicts"]["lemma-consistent"] == "inconclusive"
     assert report["verdicts"]["x-perfect"] == "fail"
@@ -209,10 +216,10 @@ def test_analyze_w_records_a_failed_kernel_stage(files, tmp_path, monkeypatch):
 
 
 def test_stem_audit_records_a_failed_kernel_stage(files, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "is_perfect", lambda p: True)
+    # a perfect base whose kernel stage fails gets no stem verdicts
     monkeypatch.setattr(sidki, "derived_subgroup", lambda G: subgroup_generated(G, []))
-    out_path = tmp_path / "stem.json"
-    assert main(["--json", str(out_path), "stem-audit", files["s4"]]) == EXIT_FAIL
+    out_path = tmp_path / "w.json"
+    assert main(["--json", str(out_path), "analyze-w", files["a5"]]) == EXIT_FAIL
     (report,) = json.loads(out_path.read_text())
     assert report["verdicts"] == {"kernel-computed": "fail"}
     assert "im rho" in report["payload"]["kernelError"]
@@ -252,6 +259,20 @@ def test_json_into_missing_directory_is_a_usage_error(files, tmp_path, capsys, m
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def test_error_leaves_no_json_file(files, tmp_path, capsys):
+    # the path is opened before the scenario runs; an error removes it again,
+    # so neither an empty file nor an earlier report is left there
+    bad = tmp_path / "bad.grp"
+    bad.write_text("< a | a^ >\n")
+    out_path = tmp_path / "out.json"
+    assert main(["--json", str(out_path), "analyze-w", str(bad)]) == EXIT_USAGE
+    assert not out_path.exists()
+    assert main(["--json", str(out_path), "parse", files["c2"]]) == EXIT_PASS
+    assert main(["--json", str(out_path), "parse", str(bad)]) == EXIT_USAGE
+    assert not out_path.exists()
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_identities_command(files, tmp_path):
@@ -397,7 +418,7 @@ def test_limits_enter_the_input_digest(files, tmp_path):
     assert default["inputDigest"] != bounded["inputDigest"]
 
 
-@pytest.mark.parametrize("command", ["double", "analyze-w", "stem-audit"])
+@pytest.mark.parametrize("command", ["double", "analyze-w"])
 def test_payload_carries_the_table_over_iota_psi(files, tmp_path, command):
     base = realize(enumerate_cosets(parse_presentation(A5)))
     stats = sidki.double_presentation(parse_presentation(A5), base.words).table.stats
