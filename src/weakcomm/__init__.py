@@ -40,7 +40,6 @@ from .finite_groups import (
 from .sidki import (
     DoubleData,
     KernelAnalysis,
-    RelatorSchedule,
     TorsionReport,
     analyze_double_kernel,
     canonical_maps,

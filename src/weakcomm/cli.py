@@ -40,7 +40,6 @@ from .presentations import (
     presentation_to_text,
 )
 from .sidki import (
-    RelatorSchedule,
     SidkiError,
     analyze_double_kernel,
     canonical_maps,
@@ -209,16 +208,13 @@ _CERTIFICATE_NAMES = {True: "passed", False: "fallback", None: "none-omitted"}
 
 def scenario_double(args) -> tuple[list[ScenarioReport], int]:
     text, pres = _read_presentation(args.file)
-    schedule = (
-        RelatorSchedule.FULL if args.schedule == "full" else RelatorSchedule.GENERATOR_ONLY
-    )
     report = ScenarioReport("double", _digest(text, args.schedule, *_limit_texts(args)))
-    if schedule is RelatorSchedule.FULL:
+    if args.schedule == "full":
         try:
             base_group = realize(enumerate_cosets(pres, (), _limits(args)))
         except LimitExceeded as exc:
             return _inconclusive(report, "base-enumeration", exc)
-        data = double_presentation(pres, base_group.words, schedule, _limits(args))
+        data = double_presentation(pres, base_group.words, _limits(args))
         maps = canonical_maps(data, regular_identity_decider(base_group))
         report.record("maps-verified", all(maps.verified.values()))
         report.payload["baseOrder"] = str(base_group.order)
@@ -226,7 +222,7 @@ def scenario_double(args) -> tuple[list[ScenarioReport], int]:
         if data.table is not None:
             _record_table(report, data.table)
     else:
-        data = double_presentation(pres, None, schedule)
+        data = double_presentation(pres)
         maps = canonical_maps(data)
         report.record("maps-verified", all(maps.verified[n] for n in ("iota", "iota_psi")))
     commuting = len(data.double.relators) - 2 * len(pres.relators)
@@ -249,7 +245,7 @@ def scenario_analyze_w(args) -> tuple[list[ScenarioReport], int]:
     report = ScenarioReport("analyze-w", _digest(text, *_limit_texts(args)))
     try:
         base_group = realize(enumerate_cosets(pres, (), _limits(args)))
-        data = double_presentation(pres, base_group.words, RelatorSchedule.FULL, _limits(args))
+        data = double_presentation(pres, base_group.words, _limits(args))
         analysis = analyze_double_kernel(data, base_group, _limits(args))
     except LimitExceeded as exc:
         return _inconclusive(report, "enumeration", exc)
@@ -341,7 +337,7 @@ def _c2_pushforward_matrix() -> tuple[RingMatrix, RingMatrix]:
     forward along rho to the cube of the base."""
     pres = parse_presentation("< a | a^2 >")
     base = realize(enumerate_cosets(pres))
-    data = double_presentation(pres, base.words, RelatorSchedule.FULL)
+    data = double_presentation(pres, base.words)
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
     x_carrier = FiniteCarrier(x_group)

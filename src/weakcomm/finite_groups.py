@@ -64,10 +64,6 @@ class FiniteGroup:
             x = self.tree_parent[x]
         return gens[::-1]
 
-    @property
-    def identity(self) -> int:
-        return 0
-
     def generator_element(self, i: int) -> int:
         return self.gen_perms[i][0]
 

@@ -108,11 +108,6 @@ class RingElement:
         self._check_same(other)
         return _sum_of_products(self.carrier, [(_numerators(self), _numerators(other))])
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"RingElement({format_ring_element(self)!r})"
 
@@ -187,26 +182,6 @@ class RingMatrix:
     def _check_same(self, other: "RingMatrix") -> None:
         if self.carrier != other.carrier or self.n != other.n:
             raise GroupRingError("matrix shapes or carriers differ")
-
-    def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check_same(other)
-        return RingMatrix(
-            self.carrier,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
-
-    def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        self._check_same(other)
-        return RingMatrix(
-            self.carrier,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):

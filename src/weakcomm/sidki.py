@@ -5,11 +5,11 @@ Given a presentation of G with generators g_1..g_k, the double has those
 generators plus commuting partner copies (suffix ``_psi``) and relators
 
 * the relators of G and their partner copies, and
-* commutators [w, w_psi]: in the FULL schedule (finite G only, element
-  words supplied by a realized group) those of the element words of length
-  at most ``SHORT_WORD_LENGTH``, or else one per group element; in the
-  GENERATOR_ONLY schedule one per declared generator, which is an explicit
-  under-approximation and marks the result PARTIAL.
+* commutators [w, w_psi]: when the element words of a realized finite G
+  are given (the FULL double), those of the words of length at most
+  ``SHORT_WORD_LENGTH``, or else one per group element; otherwise one per
+  declared generator, which is an explicit under-approximation and marks
+  the result PARTIAL.
 
 The FULL double omits the longer commutators only under a certificate
 checked at run time: each omitted [w, w_psi] fixes coset 0 of the short
@@ -24,7 +24,6 @@ embeddings iota, iota_psi.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable
@@ -66,20 +65,11 @@ class SidkiError(ValueError):
     pass
 
 
-class ScheduleError(SidkiError):
-    pass
-
-
 PSI_MARKER = "_psi"
 
-# The FULL schedule imposes [w, w_psi] outright for the element words of at
+# The FULL double imposes [w, w_psi] outright for the element words of at
 # most this length and certifies the commutators of the longer ones.
 SHORT_WORD_LENGTH = 2
-
-
-class RelatorSchedule(enum.Enum):
-    FULL = "full"
-    GENERATOR_ONLY = "generators"
 
 
 @dataclass(frozen=True)
@@ -96,7 +86,6 @@ class CanonicalMaps:
 class DoubleData:
     base: Presentation
     double: Presentation
-    schedule: RelatorSchedule
     element_words: tuple[Word, ...] | None
     maps: CanonicalMaps  # not verified; see :func:`canonical_maps`
     # None: no commutator was omitted; True: the omitted ones were certified
@@ -107,7 +96,7 @@ class DoubleData:
 
     @property
     def partial(self) -> bool:
-        return self.schedule is RelatorSchedule.GENERATOR_ONLY
+        return self.element_words is None
 
     def psi_word(self, w: Word) -> Word:
         return shift_word(w, self.base.num_generators)
@@ -128,17 +117,16 @@ def _psi_names(base: Presentation) -> list[str]:
 def double_presentation(
     base: Presentation,
     elements: tuple[Word, ...] | list[Word] | None = None,
-    schedule: RelatorSchedule = RelatorSchedule.FULL,
     limits: EnumerationLimits = DEFAULT_LIMITS,
 ) -> DoubleData:
     """Build the double of a presented group.
 
-    For the FULL schedule, ``elements`` must list one word per group element
-    (shortlex words from a realized finite group), in any order: the
-    commutators follow the words in shortlex order, and the identity's is
-    trivial and dropped.  GENERATOR_ONLY only imposes the generator
-    commutators and flags the result PARTIAL, which poisons any claim about
-    the double as a group.
+    Given ``elements``, one word per group element (shortlex words from a
+    realized finite group) in any order, the double is FULL: the commutators
+    follow the words in shortlex order, and the identity's is trivial and
+    dropped.  Without them only the generator commutators are imposed and
+    the result is flagged PARTIAL, which poisons any claim about the double
+    as a group.
 
     The FULL double imposes [w, w_psi] only for the element words of length
     at most ``SHORT_WORD_LENGTH`` (the short set) when some word is longer.
@@ -164,11 +152,7 @@ def double_presentation(
         return Presentation.make(names, base_relators + commutators)
 
     certificate = table = None
-    if schedule is RelatorSchedule.FULL:
-        if elements is None:
-            raise ScheduleError(
-                "the FULL schedule needs the element words of a realized finite group"
-            )
+    if elements is not None:
         # shortlex, so the double does not hang on how the base was numbered
         words = sorted((w for w in elements if w.letters), key=lambda w: (len(w), w.letters))
         short = [w for w in words if len(w) <= SHORT_WORD_LENGTH]
@@ -187,7 +171,6 @@ def double_presentation(
     data = DoubleData(
         base=base,
         double=double,
-        schedule=schedule,
         element_words=tuple(elements) if elements is not None else None,
         maps=_build_maps(base, double, g),
         certificate=certificate,
@@ -327,8 +310,8 @@ def subgroup_families(
 
     D = [iota(G), iota_psi(G)] is the normal closure in X of the commutators
     [g_i, g_j_psi] of generators, because X is generated by both copies."""
-    if data.schedule is not RelatorSchedule.FULL or data.element_words is None:
-        raise SidkiError("subgroup families need the FULL schedule of a finite base")
+    if data.partial:
+        raise SidkiError("subgroup families need the FULL double of a finite base")
     if x_group.presentation != data.double:
         raise SidkiError("realized group does not match the double presentation")
     if triple_group is None:
@@ -434,8 +417,8 @@ def analyze_double_kernel(
     was built with, else a fresh enumeration under ``limits``.  A given
     table whose columns differ from the certifying table's must pass
     :func:`closure_audit`."""
-    if data.schedule is not RelatorSchedule.FULL:
-        raise SidkiError("kernel analysis needs the FULL schedule")
+    if data.partial:
+        raise SidkiError("kernel analysis needs the FULL double")
     if base_group.presentation != data.base:
         raise SidkiError("realized base does not match the double's base")
     g = data.base.num_generators

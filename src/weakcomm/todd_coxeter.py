@@ -1,9 +1,9 @@
 """Coset enumeration for finitely presented groups.
 
 The strategy is HLT: relator scans drive coset definitions, with a full
-lookahead pass run periodically and whenever the coset limit is hit, so that
-coincidences can free space before the enumeration gives up.  Coincidences
-are processed immediately through a union-find with column merging.
+lookahead pass run whenever the coset limit is hit, so that coincidences can
+free space before the enumeration gives up.  Coincidences are processed
+immediately through a union-find with column merging.
 
 The table is stored by columns.  Once the dead rows outnumber the live ones
 by ``_COMPACT_MARGIN``, they are dropped between cosets and the live cosets
@@ -69,9 +69,6 @@ class EnumerationLimits:
 
 
 DEFAULT_LIMITS = EnumerationLimits()
-
-# Run a full lookahead pass after this many new definitions.
-_LOOKAHEAD_PERIOD = 500_000
 
 # Compact the table between cosets once its dead rows outnumber the live
 # ones by this many.
@@ -185,7 +182,6 @@ class _Enumerator:
         self.defs = 0
         self.coincidences = 0
         self.lookaheads = 0
-        self._defs_at_lookahead = 0
 
     def _path(self, w: Word) -> _Path:
         columns = word_columns(w)
@@ -309,7 +305,6 @@ class _Enumerator:
 
     def _lookahead(self) -> None:
         self.lookaheads += 1
-        self._defs_at_lookahead = self.defs
         p = self.p
         for beta in range(len(p)):
             if p[beta] != beta:
@@ -319,9 +314,9 @@ class _Enumerator:
                 if p[beta] != beta:
                     break
 
-    def _process(self, alpha: int) -> None:
+    def _process(self, alpha: int, paths: list[_Path]) -> None:
         p = self.p
-        for path in self.relator_paths:
+        for path in paths:
             self._scan(alpha, path, fill=True)
             if p[alpha] != alpha:
                 return
@@ -333,27 +328,22 @@ class _Enumerator:
 
     def run(self) -> tuple[tuple[int, ...], ...]:
         p = self.p
-        for path in self.subgroup_paths:
-            self._scan(0, path, fill=True)
+        paths = self.subgroup_paths + self.relator_paths  # coset 0 scans the subgroup words too
         alpha = 0
         while alpha < len(p):
-            if self.defs - self._defs_at_lookahead >= _LOOKAHEAD_PERIOD:
-                self._lookahead()
-            if p[alpha] == alpha:
+            # A full budget makes a lookahead, then a retry.  This ends: a
+            # retry after a lookahead that freed a coset finishes alpha or
+            # makes a definition, and max_definitions caps the definitions.
+            while p[alpha] == alpha:
                 try:
-                    self._process(alpha)
+                    self._process(alpha, paths)
+                    break
                 except _NeedSpace:
                     before = self.live
                     self._lookahead()
                     if self.live >= before:
                         raise LimitExceeded("cosets", self.limits.max_cosets) from None
-                    if p[alpha] == alpha:
-                        try:
-                            self._process(alpha)
-                        except _NeedSpace:
-                            raise LimitExceeded(
-                                "cosets", self.limits.max_cosets
-                            ) from None
+            paths = self.relator_paths
             alpha += 1
             if len(p) - self.live > self.live + _COMPACT_MARGIN:
                 alpha = self._compact(alpha)

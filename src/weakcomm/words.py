@@ -9,7 +9,7 @@ tuple equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Letter = tuple[int, int]
 
@@ -99,9 +99,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __iter__(self) -> Iterator[Letter]:
-        return iter(self.letters)
 
     def max_index(self) -> int:
         """Largest generator index used, or -1 for the empty word."""

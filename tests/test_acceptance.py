@@ -34,7 +34,6 @@ from weakcomm.group_rings import (
 )
 from weakcomm.presentations import direct_power, parse_presentation, parse_word
 from weakcomm.sidki import (
-    RelatorSchedule,
     analyze_double_kernel,
     double_presentation,
     identity_witness,
@@ -88,7 +87,7 @@ def test_criterion_2_double_of_order_two():
     with criterion(2, "double-of-c2", budget_seconds=1.0):
         p = parse_presentation(C2_TEXT)
         base = realize(enumerate_cosets(p))
-        data = double_presentation(p, base.words, RelatorSchedule.FULL)
+        data = double_presentation(p, base.words)
         # hand oracle: the relators are a^2, a_psi^2, [a, a_psi]
         assert len(data.double.relators) == 3
         x_table = enumerate_cosets(data.double)
@@ -103,7 +102,7 @@ def test_criterion_3_torsion_in_klein_double():
     with criterion(3, "torsion-in-klein-double", budget_seconds=10.0):
         p = parse_presentation(KLEIN_TEXT)
         base = realize(enumerate_cosets(p))
-        data = double_presentation(p, base.words, RelatorSchedule.FULL)
+        data = double_presentation(p, base.words)
         x_group = realize(enumerate_cosets(data.double))
         fam = subgroup_families(data, x_group)
         assert fam.w.order >= 2  # the rank-one 2-torsion quotient forces this
@@ -117,7 +116,7 @@ def test_criterion_4_stem_audit_a5():
     with criterion(4, "stem-audit-a5", budget_seconds=60.0):
         p = parse_presentation(A5_TEXT)
         base = realize(enumerate_cosets(p))
-        data = double_presentation(p, base.words, RelatorSchedule.FULL)
+        data = double_presentation(p, base.words)
         analysis = analyze_double_kernel(data, base)
         assert analysis.x_order == analysis.index * 60
         closure_audit(analysis.table)  # exhaustive relator/permutation check
@@ -139,7 +138,7 @@ def test_criterion_5_trivial_base_is_vacuous():
     with criterion(5, "trivial-base", budget_seconds=1.0):
         p = parse_presentation(TRIVIAL_TEXT)
         base = realize(enumerate_cosets(p))
-        data = double_presentation(p, base.words, RelatorSchedule.FULL)
+        data = double_presentation(p, base.words)
         assert enumerate_cosets(data.double).num_cosets == 1
         analysis = analyze_double_kernel(data, base)
         assert is_perfect(p) and is_perfect(data.double)  # so W <= X' = X
@@ -181,7 +180,7 @@ def _idempotent_corpus(rng: Random):
 
     pres = parse_presentation(C2_TEXT)
     base = realize(enumerate_cosets(pres))
-    data = double_presentation(pres, base.words, RelatorSchedule.FULL)
+    data = double_presentation(pres, base.words)
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
     images = tuple(triple.evaluate(img) for img in data.maps.rho.images)

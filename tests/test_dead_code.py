@@ -1,11 +1,11 @@
-"""Every top-level function and class of the package, and every method and
-property of its classes, is read by the package.
+"""Every top-level function, class and assigned name of the package, and
+every method and property of its classes, is read by the package.
 
 A name that only tests reach is dead weight: no scenario, verdict or export
 depends on it.  A name counts as read when it appears in ``src/weakcomm`` as
 a loaded name, an attribute or an imported name (so an ``__init__`` export
-is a use); its own definition does not count.  Dunder methods, which the
-language calls, are exempt.
+is a use); its own definition, or any assignment to it, does not count.
+Dunder names, which the language reads, are exempt.
 
 Likewise every defaulted parameter is passed, by position or keyword, by some
 call in ``src/weakcomm`` or in the benchmark's scripts (``perfbench/*.py``
@@ -29,7 +29,7 @@ def _read_names(trees) -> set[str]:
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -51,6 +51,24 @@ def test_every_top_level_definition_is_read_by_the_package():
     assert unread == []
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_module_level_assignment_is_read_by_the_package():
+    trees = _trees()
+    read = _read_names(trees)
+    unread = sorted(
+        f"{module}:{target.id}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not _dunder(target.id) and target.id not in read
+    )
+    assert unread == []
+
+
 def test_every_method_and_property_is_read_by_the_package():
     trees = _trees()
     read = _read_names(trees)
@@ -61,7 +79,7 @@ def test_every_method_and_property_is_read_by_the_package():
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not _dunder(node.name)
         and node.name not in read
     )
     assert unread == []

@@ -18,7 +18,7 @@ from weakcomm.finite_groups import (
     subgroup_generated,
 )
 from weakcomm.presentations import direct_power, parse_presentation, parse_word
-from weakcomm.sidki import RelatorSchedule, double_presentation, rho_on_elements
+from weakcomm.sidki import double_presentation, rho_on_elements
 from weakcomm.smith import is_perfect
 from weakcomm.todd_coxeter import enumerate_cosets
 from weakcomm.words import Word
@@ -237,7 +237,7 @@ DOUBLES = {"X(Klein)": "< a, b | a^2, b^2, [a,b] >", "X(S3)": BASES["S3"]}
 
 def _double_of(text):
     p = parse_presentation(text)
-    data = double_presentation(p, group(text).words, RelatorSchedule.FULL)
+    data = double_presentation(p, group(text).words)
     return data, realize(enumerate_cosets(data.double))
 
 

@@ -37,7 +37,7 @@ from weakcomm.group_rings import (
     trace_audit,
 )
 from weakcomm.presentations import direct_power, parse_presentation
-from weakcomm.sidki import RelatorSchedule, double_presentation
+from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import enumerate_cosets
 from weakcomm.words import Word
 
@@ -260,7 +260,7 @@ def test_pushforward_multiplicative(z2, c6):
 def test_pushforward_of_double_idempotent_along_rho():
     pres = parse_presentation("< a | a^2 >")
     base = realize(enumerate_cosets(pres))
-    data = double_presentation(pres, base.words, RelatorSchedule.FULL)
+    data = double_presentation(pres, base.words)
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
     x_carrier = FiniteCarrier(x_group)

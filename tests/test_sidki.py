@@ -27,8 +27,6 @@ from weakcomm.presentations import (
     word_to_text,
 )
 from weakcomm.sidki import (
-    RelatorSchedule,
-    ScheduleError,
     SidkiError,
     analyze_double_kernel,
     canonical_maps,
@@ -92,14 +90,9 @@ def test_double_klein_full_commutators(klein_double):
 
 
 def test_double_free_partial():
-    data = double_presentation(presented("< a, b | >"), None, RelatorSchedule.GENERATOR_ONLY)
+    data = double_presentation(presented("< a, b | >"))
     assert data.partial
     assert len(data.double.relators) == 2  # only generator commutators
-
-
-def test_full_without_elements_rejected():
-    with pytest.raises(ScheduleError):
-        double_presentation(presented("< a | a^2 >"), None, RelatorSchedule.FULL)
 
 
 def test_double_trivial_group():
@@ -119,7 +112,7 @@ def test_double_does_not_depend_on_the_order_of_the_words():
 
 def test_psi_name_collision_resolved():
     p = presented("< a, a_psi | >")
-    data = double_presentation(p, None, RelatorSchedule.GENERATOR_ONLY)
+    data = double_presentation(p)
     assert len(set(data.double.generator_names)) == 4
 
 
@@ -306,7 +299,7 @@ def test_verification_catches_bad_map(c2_double):
 
 
 def test_partial_double_maps_verified_on_free_base():
-    data = double_presentation(presented("< a, b | >"), None, RelatorSchedule.GENERATOR_ONLY)
+    data = double_presentation(presented("< a, b | >"))
     maps = canonical_maps(data)
     assert maps.verified["rho"] and maps.verified["mu_rho"] and maps.verified["omega_rho"]
 
@@ -336,9 +329,16 @@ def test_families_klein(klein_double):
 
 
 def test_families_reject_partial():
-    data = double_presentation(presented("< a, b | >"), None, RelatorSchedule.GENERATOR_ONLY)
+    data = double_presentation(presented("< a, b | >"))
     with pytest.raises(SidkiError):
         subgroup_families(data, realized("< a | a^2 >"))
+
+
+def test_kernel_rejects_partial():
+    # a double built without element words imposes only generator commutators
+    data = double_presentation(presented("< a | a^2 >"))
+    with pytest.raises(SidkiError, match="FULL double"):
+        analyze_double_kernel(data, realized("< a | a^2 >"))
 
 
 # -- identity witnesses -------------------------------------------------------

@@ -102,6 +102,15 @@ def test_coset_limit_distinguished():
     assert "infinite" not in str(exc.value)
 
 
+def test_coset_limit_in_a_subgroup_word_is_inconclusive():
+    # the subgroup words are scanned at coset 0 under the same valve
+    p = parse_presentation(A5_TEXT)
+    word = parse_word("b*a*b*a*b*a*b", p)
+    with pytest.raises(LimitExceeded) as exc:
+        enumerate_cosets(p, [word], EnumerationLimits(max_cosets=3))
+    assert exc.value.kind == "cosets"
+
+
 def test_definition_limit_distinguished():
     p = parse_presentation(A5_TEXT)
     with pytest.raises(LimitExceeded) as exc:
@@ -357,6 +366,8 @@ def test_involution_in_subgroup_words(a5_oracle_order, subgroup, max_cosets):
     assert table.num_cosets == a5_oracle_order // order
     assert table.stats.peak_live <= limits.max_cosets
     assert (table.stats.lookaheads > 0) == (max_cosets is not None)
+    # a lookahead fires only on a full budget
+    assert table.stats.lookaheads == 0 or table.stats.peak_live == limits.max_cosets
     closure_audit(table)
 
 
@@ -366,6 +377,24 @@ def _short_double_over_iota_psi(text: str):
     assert data.certificate  # so data.double is the short double
     g = p.num_generators
     return data.double, [Word.gen(g + i) for i in range(g)]
+
+
+@pytest.fixture(scope="module")
+def s4_double_unbounded():
+    double, psi_gens = _short_double_over_iota_psi("< a, b | a^2, b^3, (a*b)^4 >")
+    return double, psi_gens, enumerate_cosets(double, psi_gens)
+
+
+@pytest.mark.parametrize("max_cosets", [576, 600, 707, 708])
+def test_coset_budget_is_a_lookahead_valve(s4_double_unbounded, max_cosets):
+    # unbounded, S4's short double over iota_psi(G) peaks at 708 live cosets;
+    # any budget from its index 576 up closes it, looking ahead below 708
+    double, psi_gens, unbounded = s4_double_unbounded
+    table = enumerate_cosets(double, psi_gens, EnumerationLimits(max_cosets=max_cosets))
+    assert table.num_cosets == 576
+    assert table.stats.peak_live <= max_cosets
+    assert (table.stats.lookaheads > 0) == (max_cosets < unbounded.stats.peak_live == 708)
+    assert dump_table(standardize(table)) == dump_table(standardize(unbounded))
 
 
 @pytest.mark.parametrize(
