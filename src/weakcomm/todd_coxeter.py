@@ -3,7 +3,12 @@
 The strategy is HLT: relator scans drive coset definitions, with a full
 lookahead pass run whenever the coset limit is hit, so that coincidences can
 free space before the enumeration gives up.  Coincidences are processed
-immediately through a union-find with column merging.
+immediately through a union-find with column merging.  Most scans find the
+relator closed, so a scan first walks it forward in one plain loop: while
+the enumeration runs, each column list ends in a spare -1, so a walk that
+meets an undefined entry stays at -1 and needs no test.  Only a relator that
+does not close goes on to the full scan: a deduction, a coincidence or a
+definition.
 
 The table is stored by columns.  Once the dead rows outnumber the live ones
 by ``_COMPACT_MARGIN``, they are dropped between cosets and the live cosets
@@ -146,10 +151,11 @@ _Path = tuple[list[list[int]], list[list[int]]]
 
 class _Enumerator:
     """HLT over column storage: ``cols[c][k]`` is the entry of coset k in
-    column c, or -1 while undefined.  An involution's two columns are one
-    list, so ``cols[c ^ 1]`` is the inverse column of every column c.  A
-    dead coset keeps its row, pointing through ``p`` to a smaller coset,
-    until :meth:`_compact` drops it."""
+    column c, or -1 while undefined; each list ends in a spare -1, its
+    ``col[-1]``.  An involution's two columns are one list, so
+    ``cols[c ^ 1]`` is the inverse column of every column c.  A dead coset
+    keeps its row, pointing through ``p`` to a smaller coset, until
+    :meth:`_compact` drops it."""
 
     def __init__(
         self,
@@ -166,8 +172,8 @@ class _Enumerator:
         involutions = {r.letters[0][0] for r in squares}
         cols: list[list[int]] = []
         for i in range(g):
-            col = [-1]
-            cols += (col, col) if i in involutions else (col, [-1])
+            col = [-1, -1]  # coset 0 and the spare
+            cols += (col, col) if i in involutions else (col, [-1, -1])
         self.cols = cols
         # (column, inverse column) once per list, in column order
         self.pairs = [
@@ -208,7 +214,7 @@ class _Enumerator:
             queue.append(ry)
 
     def _coincidence(self, a: int, b: int) -> None:
-        rep = self.rep
+        p = self.p
         merge = self._merge
         pairs = self.pairs
         queue: list[int] = []
@@ -219,8 +225,12 @@ class _Enumerator:
                 if delta < 0:
                     continue
                 inv[delta] = -1
-                mu = rep(gamma)
-                nu = rep(delta)
+                mu = gamma  # the roots, as rep finds them, without compressing
+                while p[mu] != mu:
+                    mu = p[mu]
+                nu = delta
+                while p[nu] != nu:
+                    nu = p[nu]
                 if col[mu] >= 0:
                     merge(nu, col[mu], queue)
                 elif inv[nu] >= 0:
@@ -248,6 +258,7 @@ class _Enumerator:
             renumber[old] = new
         for col in self.lists:
             col[:] = [renumber[e] for e in map(col.__getitem__, kept)]
+            col.append(-1)  # the spare
         p[:] = map(renumber.__getitem__, kept)
         return bisect_left(kept, alpha)
 
@@ -307,22 +318,23 @@ class _Enumerator:
         self.lookaheads += 1
         p = self.p
         for beta in range(len(p)):
-            if p[beta] != beta:
-                continue
-            for path in self.relator_paths:
-                self._scan(beta, path, fill=False)
-                if p[beta] != beta:
-                    break
+            if p[beta] == beta:
+                self._process(beta, self.relator_paths, fill=False)
 
-    def _process(self, alpha: int, paths: list[_Path]) -> None:
+    def _process(self, alpha: int, paths: list[_Path], fill: bool = True) -> None:
         p = self.p
         for path in paths:
-            self._scan(alpha, path, fill=True)
-            if p[alpha] != alpha:
-                return
-        for col, inv in self.pairs:
-            if col[alpha] < 0:
-                self._define(alpha, col, inv)
+            f = alpha  # a path that closes at alpha is only walked
+            for col in path[0]:
+                f = col[f]
+            if f != alpha:
+                self._scan(alpha, path, fill)
+                if p[alpha] != alpha:
+                    return
+        if fill:
+            for col, inv in self.pairs:
+                if col[alpha] < 0:
+                    self._define(alpha, col, inv)
 
     # -- main loop ------------------------------------------------------------
 
@@ -350,10 +362,12 @@ class _Enumerator:
         return self._finish()
 
     def _finish(self) -> tuple[tuple[int, ...], ...]:
-        """Compact, then freeze the column lists into tuples, clearing each
-        list once frozen (an involution's list gives one tuple for both of its
+        """Compact, drop the spares, then freeze the lists into tuples, clearing
+        each once frozen (an involution's list gives one tuple for both of its
         columns).  An undefined entry left fails :class:`CosetTable`'s check."""
         self._compact(0)
+        for col in self.lists:
+            col.pop()
         cols = self.cols
         columns: list[tuple[int, ...]] = []
         for c, col in enumerate(cols):

@@ -39,6 +39,7 @@ from weakcomm.smith import abelianization, is_perfect
 from weakcomm.todd_coxeter import (
     CosetTable,
     EnumerationLimits,
+    EnumerationStats,
     SpanningTree,
     enumerate_cosets,
     standardize,
@@ -450,6 +451,8 @@ def test_psl27_double():
     data = double_presentation(presented(text), base.words)
     assert data.certificate is True
     assert len(data.double.relators) - 2 * 4 == 5
+    # the certificate enumeration's counters pin its definition sequence
+    assert data.table.stats == EnumerationStats(382522, 326075, 0, 129032)
     analysis = analyze_double_kernel(data, base)
     assert analysis.index == 56448
     assert analysis.x_order == 9483264

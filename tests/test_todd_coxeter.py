@@ -17,6 +17,7 @@ from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import (
     CosetTable,
     EnumerationLimits,
+    EnumerationStats,
     LimitExceeded,
     TableNotClosedError,
     closure_audit,
@@ -29,6 +30,7 @@ from weakcomm.todd_coxeter import (
 from weakcomm.words import Word, commutator
 
 A5_TEXT = "< a, b | a^2, b^3, (a*b)^5 >"
+S4_TEXT = "< a, b | a^2, b^3, (a*b)^4 >"
 
 
 @pytest.fixture(scope="module")
@@ -381,7 +383,7 @@ def _short_double_over_iota_psi(text: str):
 
 @pytest.fixture(scope="module")
 def s4_double_unbounded():
-    double, psi_gens = _short_double_over_iota_psi("< a, b | a^2, b^3, (a*b)^4 >")
+    double, psi_gens = _short_double_over_iota_psi(S4_TEXT)
     return double, psi_gens, enumerate_cosets(double, psi_gens)
 
 
@@ -400,7 +402,7 @@ def test_coset_budget_is_a_lookahead_valve(s4_double_unbounded, max_cosets):
 @pytest.mark.parametrize(
     "text, index, definitions, coincidences, peak_live",
     [
-        ("< a, b | a^2, b^3, (a*b)^4 >", 576, 1352, 777, 708),
+        (S4_TEXT, 576, 1352, 777, 708),
         (A5_TEXT, 7200, 19872, 12673, 8257),
         ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 64023, 49624, 19608),
     ],
@@ -415,25 +417,56 @@ def test_definition_sequence_is_pinned(text, index, definitions, coincidences, p
 
 
 @pytest.mark.parametrize(
-    "text, subgroup",
+    "text, index, max_cosets, definitions, coincidences, lookaheads",
     [
-        (A5_TEXT, ""),
-        ("< a, b | a^6, b^6, (a*b)^2, (a^2*b^2)^2, (a^3*b^3)^5 >", "a"),
-        ("< | >", ""),
-        # every generator an involution, with coincidences to compact away
-        ("< a, b, c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (c*a)^3, (a*b*c)^4 >", ""),
-        (A5_TEXT, "a"),
+        (A5_TEXT, 7200, 8207, 17730, 10531, 1),
+        ("< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >", 14400, 17004, 44837, 30438, 2),
+    ],
+    ids=["A5", "SL(2,5)"],
+)
+def test_lookahead_path_is_pinned(text, index, max_cosets, definitions, coincidences, lookaheads):
+    # a budget below the unbounded peak makes lookaheads; any change to the
+    # definitions or the lookahead scans moves these counts
+    double, psi_gens = _short_double_over_iota_psi(text)
+    table = enumerate_cosets(double, psi_gens, EnumerationLimits(max_cosets=max_cosets))
+    assert table.num_cosets == index
+    assert table.stats == EnumerationStats(definitions, coincidences, lookaheads, max_cosets)
+
+
+@pytest.mark.parametrize(
+    "text, subgroup, max_cosets",
+    [
+        *(
+            pytest.param(text, subgroup, None, id=f"{text}-{subgroup}")
+            for text, subgroup in [
+                (A5_TEXT, ""),
+                ("< a, b | a^6, b^6, (a*b)^2, (a^2*b^2)^2, (a^3*b^3)^5 >", "a"),
+                ("< | >", ""),
+                # every generator an involution, with coincidences to compact away
+                ("< a, b, c | a^2, b^2, c^2, (a*b)^3, (b*c)^3, (c*a)^3, (a*b*c)^4 >", ""),
+                (A5_TEXT, "a"),
+            ]
+        ),
+        # S4's short double over iota_psi(G); at 600 cosets lookaheads fire,
+        # and the spare entry at each column's end must survive each compaction
+        pytest.param(S4_TEXT, "iota_psi(G)", None, id="S4 double-iota_psi(G)"),
+        pytest.param(S4_TEXT, "iota_psi(G)", 600, id="S4 double-iota_psi(G)-600"),
     ],
 )
-def test_compaction_changes_no_definition(monkeypatch, text, subgroup):
-    p = parse_presentation(text)
-    words = [parse_word(subgroup, p)] if subgroup else []
+def test_compaction_changes_no_definition(monkeypatch, text, subgroup, max_cosets):
+    if subgroup == "iota_psi(G)":
+        p, words = _short_double_over_iota_psi(text)
+    else:
+        p = parse_presentation(text)
+        words = [parse_word(subgroup, p)] if subgroup else []
+    limits = EnumerationLimits(max_cosets=max_cosets) if max_cosets else EnumerationLimits()
     monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", 10**9)  # only at the end
-    never = enumerate_cosets(p, words)
+    never = enumerate_cosets(p, words, limits)
     monkeypatch.setattr(todd_coxeter, "_COMPACT_MARGIN", -(10**9))  # after every coset
-    always = enumerate_cosets(p, words)
+    always = enumerate_cosets(p, words, limits)
     assert always.columns == never.columns
     assert always.stats == never.stats
+    assert (always.stats.lookaheads > 0) == (max_cosets is not None)
 
 
 # -- the orbit of halves: tables over the trivial subgroup ----------------------
@@ -448,7 +481,7 @@ REALIZED_BASES = {
     "Q8": "< a, b | a^4, a^2*b^-2, b^-1*a*b*a >",
     "D5": "< a, b | a^2, b^5, (a*b)^2 >",
     "A4": "< a, b | a^2, b^3, (a*b)^3 >",
-    "S4": "< a, b | a^2, b^3, (a*b)^4 >",
+    "S4": S4_TEXT,
 }
 SL25_TEXT = "< a, b | a^4, a^2*b^-3, a^2*(a*b)^-5 >"
 
