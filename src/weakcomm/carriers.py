@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 from random import Random
 
 from .finite_groups import FiniteGroup, class_representative_map
@@ -64,6 +64,9 @@ class FiniteCarrier:
     def inv(self, x: int) -> int:
         return self.group.inv(x)
 
+    def product_code(self, elements):
+        return None, self.group.mul, None
+
     def sort_key(self, x: int):
         return x
 
@@ -96,13 +99,48 @@ class FreeAbelianCarrier:
     def identity(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def mul(self, x, y):
-        if len(x) != self.rank or len(y) != self.rank:
+    def _check(self, *xs) -> None:
+        if any(len(x) != self.rank for x in xs):
             raise CarrierError(f"elements of Z^{self.rank} must have {self.rank} coordinates")
+
+    def mul(self, x, y):
+        self._check(x, y)
         return tuple(map(add, x, y))
 
     def inv(self, x):
+        self._check(x)
         return tuple(-a for a in x)
+
+    def product_code(self, elements):
+        """Kronecker substitution: x -> sum x_i R^i with balanced digits and
+        R = 4 max|x_i| + 2, so a sum of two elements keeps every digit in
+        [-R/2, R/2) and the product of keys is int ``+``."""
+        rank, top = self.rank, 0
+        for x in elements:
+            if len(x) != rank:
+                self._check(x)
+            for v in x:
+                if not isinstance(v, int):
+                    raise CarrierError(f"elements of Z^{rank} must have integer coordinates")
+                top = v if v > top else -v if -v > top else top
+        radix, half, digits = 4 * top + 2, 2 * top + 1, range(rank)
+        bias = half * (radix**rank - 1) // (radix - 1)  # half in every digit
+
+        def encode(x) -> int:
+            k = 0
+            for v in reversed(x):
+                k = k * radix + v
+            return k
+
+        def decode(k: int) -> tuple[int, ...]:
+            k += bias
+            out = []
+            for _ in digits:
+                out.append(k % radix - half)
+                k //= radix
+            return tuple(out)
+
+        return encode, add, decode
 
     def sort_key(self, x):
         return x
@@ -143,6 +181,9 @@ class FreeCarrier:
 
     def inv(self, x: Word) -> Word:
         return x.inverse()
+
+    def product_code(self, elements):
+        return None, mul, None
 
     def sort_key(self, x: Word):
         return (len(x.letters), x.letters)
@@ -189,6 +230,9 @@ class BSElement:
     b: Fraction
     k: int
 
+    def __hash__(self) -> int:  # an int b hashes as the equal Fraction does
+        return hash((self.k, self.b.numerator, self.b.denominator))
+
 
 @dataclass(frozen=True)
 class BaumslagSolitarCarrier:
@@ -219,6 +263,9 @@ class BaumslagSolitarCarrier:
     def inv(self, x: BSElement) -> BSElement:
         k = x.k
         return BSElement(-x.b / self.n**k if k >= 0 else -x.b * self.n**-k, -k)
+
+    def product_code(self, elements):
+        return None, self.mul, None
 
     def sort_key(self, x: BSElement):
         return (x.k, x.b)

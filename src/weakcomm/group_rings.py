@@ -7,6 +7,8 @@ check (idempotency, trace identities) is exact.  Products work in integers:
 each factor's coefficients are brought over one common denominator, each
 output entry accumulates integer numerators over the lcm of its term
 products' denominators, and a ``Fraction`` is made once per surviving term.
+Terms multiply as the keys of the carrier's ``product_code`` (one int per
+element of Z^n), and only the surviving keys are decoded.
 """
 
 from __future__ import annotations
@@ -124,19 +126,23 @@ def _sum_of_products(carrier, pairs: list) -> RingElement:
     """Sum of x * y over ``pairs`` of factors in the form of ``_numerators``,
     as integer numerators over the lcm of the products' denominators."""
     common = lcm(*[dx * dy for (dx, _), (dy, _) in pairs])
-    mul = carrier.mul
+    elements = (g for factors in pairs for _, terms in factors for g, _ in terms)
+    encode, mul, decode = carrier.product_code(elements)
     acc: dict = {}
     get = acc.get
     for (dx, xs), (dy, ys) in pairs:
         scale = common // (dx * dy)
+        if encode is not None:
+            xs = [(encode(g), a) for g, a in xs]
+            ys = [(encode(h), b) for h, b in ys]
         for g, a in xs:
             a *= scale
             for h, b in ys:
                 k = mul(g, h)
                 acc[k] = get(k, 0) + a * b
-    return RingElement._exact(
-        carrier, {g: Fraction(n, common) for g, n in acc.items() if n}
-    )
+    if decode is not None:
+        return RingElement._exact(carrier, {decode(k): Fraction(n, common) for k, n in acc.items() if n})
+    return RingElement._exact(carrier, {g: Fraction(n, common) for g, n in acc.items() if n})
 
 
 def ring_zero(carrier) -> RingElement:
@@ -189,7 +195,7 @@ class RingMatrix:
         self._check_same(other)
         n = self.n
         left = [[_numerators(e) for e in row] for row in self.entries]
-        right = [[_numerators(f) for f in row] for row in other.entries]
+        right = left if other is self else [[_numerators(f) for f in row] for row in other.entries]
         rows = []
         for i in range(n):
             row = []
@@ -207,17 +213,13 @@ class RingMatrix:
 
 
 def identity_matrix(carrier, n: int) -> RingMatrix:
-    one = ring_one(carrier)
-    zero = ring_zero(carrier)
-    return RingMatrix(carrier, [[one if i == j else zero for j in range(n)] for i in range(n)])
+    return diagonal_matrix(carrier, [ring_one(carrier)] * n)
 
 
 def diagonal_matrix(carrier, diag: Sequence[RingElement]) -> RingMatrix:
     n = len(diag)
     zero = ring_zero(carrier)
-    return RingMatrix(
-        carrier, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
-    )
+    return RingMatrix(carrier, [[diag[i] if i == j else zero for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +247,8 @@ def epsilon(x) -> Fraction:
 
 
 def is_idempotent(a) -> bool:
-    if isinstance(a, RingElement):
+    if isinstance(a, (RingElement, RingMatrix)):
         return a * a == a
-    if isinstance(a, RingMatrix):
-        return a.is_idempotent()
     raise GroupRingError(f"unsupported operand {type(a)!r}")
 
 
@@ -293,14 +293,11 @@ def hattori_stallings(a: RingMatrix) -> ClassFunction:
     carrier = a.carrier
     sums: dict = {}
     for i in range(a.n):
-        for g, c in a.entries[i][i].items():
+        for g, c in a.entries[i][i]._coeffs.items():
             rep = carrier.canonical_class(g)
-            s = sums.get(rep, Fraction(0)) + c
-            if s:
-                sums[rep] = s
-            else:
-                sums.pop(rep, None)
-    ordered = tuple(sorted(sums.items(), key=lambda item: carrier.sort_key(item[0])))
+            sums[rep] = sums.get(rep, 0) + c
+    nonzero = [(g, c) for g, c in sums.items() if c]
+    ordered = tuple(sorted(nonzero, key=lambda item: carrier.sort_key(item[0])))
     return ClassFunction(carrier, ordered)
 
 

@@ -8,7 +8,6 @@ tuple equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 Letter = tuple[int, int]
@@ -52,18 +51,32 @@ def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 def _reduced(letters: tuple[Letter, ...]) -> "Word":
     """A Word from letters that are already freely reduced and shared."""
     w = object.__new__(Word)
-    object.__setattr__(w, "letters", letters)
+    _set_letters(w, letters)
+    _set_hash(w, hash(letters))
     return w
 
 
-@dataclass(frozen=True)
 class Word:
-    """A freely reduced word; the empty word is the identity."""
+    """A freely reduced, immutable word, hashed once when made; () is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", free_reduce(self.letters))
+    def __new__(cls, letters: Iterable[Letter] = ()) -> "Word":
+        return _reduced(free_reduce(letters))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Word is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Word) and self._hash == other._hash and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
 
     def __reduce__(self):
         # copies and unpickled words go through the constructor, so their
@@ -82,10 +95,12 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         x, y = self.letters, other.letters
-        k, top = 0, min(len(x), len(y))
-        while k < top and x[-1 - k] == _LETTERS[y[k]][1]:
+        if not x or not y or x[-1] is not _LETTERS[y[0]][1]:
+            return _reduced(x + y)
+        k, top = 1, min(len(x), len(y))
+        while k < top and x[-1 - k] is _LETTERS[y[k]][1]:
             k += 1
-        return _reduced(x[: len(x) - k] + y[k:] if k else x + y)
+        return _reduced(x[: len(x) - k] + y[k:])
 
     def inverse(self) -> "Word":
         return _reduced(tuple(_LETTERS[letter][1] for letter in reversed(self.letters)))
@@ -131,6 +146,7 @@ class Word:
         return out
 
 
+_set_letters, _set_hash = Word.letters.__set__, Word._hash.__set__
 _IDENTITY = Word(())
 
 

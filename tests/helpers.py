@@ -243,7 +243,7 @@ class PermutationOracle:
 
 
 # -- group rings ---------------------------------------------------------------
-# Group elements: C6 as ints mod 6, Z^2 as int pairs, F_2 as freely reduced
+# Group elements: C6 as ints mod 6, Z^n as int n-tuples, F_2 as freely reduced
 # tuples of (index, sign) letters, BS(1, 2) as affine pairs (b, k) for the
 # map z -> 2^k z + b.
 
@@ -252,8 +252,9 @@ def c6_mul(x: int, y: int) -> int:
     return (x + y) % 6
 
 
-def z2_mul(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    return (x[0] + y[0], x[1] + y[1])
+def zn_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    assert len(x) == len(y)
+    return tuple(a + b for a, b in zip(x, y))
 
 
 def free_mul(x: tuple, y: tuple) -> tuple:

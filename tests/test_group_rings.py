@@ -41,7 +41,7 @@ from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import enumerate_cosets
 from weakcomm.words import Word
 
-from helpers import bs12_mul, c6_mul, free_mul, naive_matrix_product, naive_ring_product, z2_mul
+from helpers import bs12_mul, c6_mul, free_mul, naive_matrix_product, naive_ring_product, zn_mul
 
 
 def finite_carrier(text):
@@ -384,6 +384,28 @@ def test_bs_element_is_affine_pair(bs2):
     assert x == BSElement(Fraction(1, 2), -1)
 
 
+def test_bs_hash_agrees_with_equality(bs2):
+    assert BSElement(1, 0) == BSElement(Fraction(1), 0)
+    assert hash(BSElement(1, 0)) == hash(BSElement(Fraction(1), 0))
+    rng = Random(2025)
+    elements = [bs2.random_element(rng) for _ in range(40)]
+    # the same elements again, by other routes: products, inverses, the
+    # normal form, and an int b where b is integral
+    routes = [bs2.mul(x, bs2.identity) for x in elements]
+    routes += [bs2.inv(bs2.inv(x)) for x in elements]
+    routes += [bs2.from_normal_form(*bs2.normal_form(x)) for x in elements]
+    routes += [BSElement(int(x.b), x.k) for x in elements if x.b.denominator == 1]
+    routes += [bs2.mul(x, y) for x in elements[:8] for y in elements[:8]]
+    pool = elements + routes
+    equal_pairs = 0
+    for x in pool:
+        for y in pool:
+            if x == y:
+                equal_pairs += 1
+                assert hash(x) == hash(y)
+    assert equal_pairs > len(pool)
+
+
 def test_bs_rejects_denominator_no_power_of_n_clears(bs2):
     with pytest.raises(CarrierError):
         bs2.mul(BSElement(Fraction(1, 3), 0), bs2.identity)
@@ -407,13 +429,38 @@ def test_free_abelian_rejects_rank_mismatch(z2):
         x * y
     with pytest.raises(CarrierError):
         y * x
+    # a non-integer coordinate, on either side
+    half = RingElement(z2, {(Fraction(1, 2), 0): 1})
+    with pytest.raises(CarrierError):
+        half * y
+    with pytest.raises(CarrierError):
+        y * half
+    # one wrong-rank term among good ones in the right factor, of an element
+    # and of a matrix
+    right = RingElement(z2, {(0, 1): 1, (2,): 3})
+    with pytest.raises(CarrierError):
+        y * right
+    with pytest.raises(CarrierError):
+        identity_matrix(z2, 2) * diagonal_matrix(z2, [y, right])
+
+
+def test_free_abelian_inverse_rejects_rank_mismatch(z2):
+    assert z2.inv((1, -2)) == (-1, 2)
+    with pytest.raises(CarrierError):
+        z2.inv((1, 0, 5))
+    with pytest.raises(CarrierError):
+        z2.inv((1,))
 
 
 # -- products against the naive oracle of tests/helpers.py -----------------------
 
+# a Z^n coordinate: small, so that terms collide, or as wide as +-10^12
+_WIDE = st.one_of(st.integers(-2, 2), st.integers(-(10**12), 10**12))
 _ELEMENTS = {
     "c6": st.integers(0, 5),
+    "z1": st.tuples(_WIDE),
     "z2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    "z3": st.tuples(_WIDE, _WIDE, _WIDE),
     "f2": st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=4).map(
         lambda letters: free_mul((), tuple(letters))
     ),
@@ -438,7 +485,9 @@ def _oracle_carriers() -> dict:
     assert sorted(powers) == list(range(6))
     return {
         "c6": (c6, c6_mul, powers.__getitem__),
-        "z2": (FreeAbelianCarrier(2), z2_mul, tuple),
+        "z1": (FreeAbelianCarrier(1), zn_mul, tuple),
+        "z2": (FreeAbelianCarrier(2), zn_mul, tuple),
+        "z3": (FreeAbelianCarrier(3), zn_mul, tuple),
         "f2": (FreeCarrier(2), free_mul, Word),
         "bs2": (BaumslagSolitarCarrier(2), bs12_mul, lambda e: BSElement(*e)),
     }

@@ -1,3 +1,4 @@
+import copy
 import pickle
 import random
 
@@ -89,6 +90,38 @@ def test_letters_are_shared():
     copied = pickle.loads(pickle.dumps(x))
     assert copied == x and copied.letters[0] is x.letters[0]
     assert (copied * x.inverse()).is_identity()
+
+
+@given(letters, letters)
+def test_equal_words_hash_equal_by_every_route(xs, ys):
+    x, y = Word(tuple(xs)), Word(tuple(ys))
+    routes = [
+        Word(x.letters + y.letters),
+        x * y,
+        (y.inverse() * x.inverse()).inverse(),
+        Word(free_reduce(tuple(xs) + tuple(ys))),
+        pickle.loads(pickle.dumps(x * y)),
+        copy.copy(x * y),
+        copy.deepcopy(x * y),
+    ]
+    for word in routes:
+        assert word == x * y
+        assert hash(word) == hash(x * y)
+    assert hash(x**3) == hash(x * x * x) and x**3 == x * x * x
+    assert hash(x**-2) == hash(x.inverse() * x.inverse())
+
+
+def test_word_is_immutable():
+    word = Word.gen(0)
+    with pytest.raises(AttributeError):
+        word.letters = ()
+    with pytest.raises(AttributeError):
+        del word.letters
+    with pytest.raises(AttributeError):
+        word.extra = 1
+    assert word == Word.gen(0) and word.letters == ((0, 1),)
+    assert repr(word) == "Word(letters=((0, 1),))"
+    assert repr(Word()) == "Word(letters=())"
 
 
 def test_multiply_associative_on_random_sample():
