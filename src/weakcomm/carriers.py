@@ -113,8 +113,9 @@ class FreeAbelianCarrier:
 
     def product_code(self, elements):
         """Kronecker substitution: x -> sum x_i R^i with balanced digits and
-        R = 4 max|x_i| + 2, so a sum of two elements keeps every digit in
-        [-R/2, R/2) and the product of keys is int ``+``."""
+        R = 4 max|x_i| + 2 over ``elements``.  One code serves a whole matrix
+        product, whose every key product is one left key times one right key:
+        their sum keeps every digit in [-R/2, R/2), so the product is int ``+``."""
         rank, top = self.rank, 0
         for x in elements:
             if len(x) != rank:

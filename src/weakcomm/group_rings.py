@@ -2,20 +2,20 @@
 them, and the trace functions: the identity-coefficient trace, the
 augmentation, and the Hattori-Stallings class function.
 
-Coefficients are arbitrary-precision rationals throughout, so every equality
-check (idempotency, trace identities) is exact.  Products work in integers:
-each factor's coefficients are brought over one common denominator, each
-output entry accumulates integer numerators over the lcm of its term
-products' denominators, and a ``Fraction`` is made once per surviving term.
-Terms multiply as the keys of the carrier's ``product_code`` (one int per
-element of Z^n), and only the surviving keys are decoded.
+Every element is held in one canonical form, integer numerators over one
+positive denominator with no common factor, so equality (idempotency, trace
+identities) is exact and compares integers; a ``Fraction`` is made only when
+a coefficient is read.  A product sets up the carrier's ``product_code`` (one
+int per element of Z^n) once, accumulates each output entry's integer
+numerators over the lcm of its term products' denominators, and decodes only
+the surviving keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from random import Random
 from typing import Callable, Mapping, Sequence
 
@@ -33,45 +33,34 @@ def _as_fraction(value) -> Fraction:
 
 
 class RingElement:
-    """Finite rational combination of group elements (no zero coefficients
-    stored).  Treat instances as immutable."""
+    """Finite rational combination of group elements in one canonical form:
+    sum (nums[g] / den) g with den > 0, no zero numerator stored, and
+    gcd(den, *nums) = 1.  Treat instances as immutable."""
 
-    __slots__ = ("carrier", "_coeffs")
+    __slots__ = ("carrier", "den", "nums")
 
-    def __init__(self, carrier, coeffs: Mapping | None = None):
-        self.carrier = carrier
-        cleaned = {}
-        if coeffs:
-            for g, c in coeffs.items():
-                c = _as_fraction(c)
-                if c:
-                    cleaned[g] = c
-        self._coeffs = cleaned
-
-    @classmethod
-    def _exact(cls, carrier, coeffs: dict) -> "RingElement":
-        """Wrap ``coeffs`` as is: every value must be a nonzero ``Fraction``."""
-        x = object.__new__(cls)
-        x.carrier = carrier
-        x._coeffs = coeffs
-        return x
+    def __new__(cls, carrier, coeffs: Mapping) -> "RingElement":
+        fractions = {g: _as_fraction(c) for g, c in coeffs.items()}
+        den = lcm(*[c.denominator for c in fractions.values()])
+        nums = {g: c.numerator * (den // c.denominator) for g, c in fractions.items()}
+        return _element(carrier, den, nums)
 
     def coefficient(self, g) -> Fraction:
-        return self._coeffs.get(g, Fraction(0))
+        return Fraction(self.nums.get(g, 0), self.den)
 
     def support(self) -> list:
-        return sorted(self._coeffs, key=self.carrier.sort_key)
+        return sorted(self.nums, key=self.carrier.sort_key)
 
     def items(self) -> list[tuple[object, Fraction]]:
-        return [(g, self._coeffs[g]) for g in self.support()]
+        return [(g, Fraction(self.nums[g], self.den)) for g in self.support()]
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self.nums
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RingElement):
             return NotImplemented
-        return self.carrier == other.carrier and self._coeffs == other._coeffs
+        return self.carrier == other.carrier and (self.den, self.nums) == (other.den, other.nums)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -83,13 +72,15 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check_same(other)
-        out = dict(self._coeffs)
-        for g, c in other._coeffs.items():
-            out[g] = out.get(g, 0) + c
-        return RingElement(self.carrier, out)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {g: n * a for g, n in self.nums.items()}
+        for g, n in other.nums.items():
+            out[g] = out.get(g, 0) + n * b
+        return _element(self.carrier, den, out)
 
     def __neg__(self) -> "RingElement":
-        return RingElement(self.carrier, {g: -c for g, c in self._coeffs.items()})
+        return _element(self.carrier, self.den, {g: -n for g, n in self.nums.items()})
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         if not isinstance(other, RingElement):
@@ -98,9 +89,8 @@ class RingElement:
 
     def scale(self, scalar) -> "RingElement":
         s = _as_fraction(scalar)
-        if not s:
-            return RingElement(self.carrier)
-        return RingElement(self.carrier, {g: s * c for g, c in self._coeffs.items()})
+        nums = {g: n * s.numerator for g, n in self.nums.items()}
+        return _element(self.carrier, self.den * s.denominator, nums)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -108,53 +98,72 @@ class RingElement:
         if not isinstance(other, RingElement):
             return NotImplemented
         self._check_same(other)
-        return _sum_of_products(self.carrier, [(_numerators(self), _numerators(other))])
+        a = [[self]]
+        return _products(self.carrier, a, a if other is self else [[other]])[0][0]
 
     def __repr__(self) -> str:
         return f"RingElement({format_ring_element(self)!r})"
 
 
-def _numerators(x: RingElement) -> tuple[int, list]:
-    """(d, [(g, n_g), ...]) with x = sum (n_g / d) g and d the lcm of the
-    denominators of x."""
-    coeffs = x._coeffs
-    d = lcm(*[c.denominator for c in coeffs.values()])
-    return d, [(g, c.numerator * (d // c.denominator)) for g, c in coeffs.items()]
+def _element(carrier, den: int, nums: dict) -> RingElement:
+    """sum (nums[g] / den) g in canonical form: zero numerators dropped, and
+    den and the numerators divided by their gcd."""
+    nums = {g: n for g, n in nums.items() if n}
+    common = gcd(den, *nums.values())
+    if common != 1:
+        den //= common
+        nums = {g: n // common for g, n in nums.items()}
+    x = object.__new__(RingElement)
+    x.carrier, x.den, x.nums = carrier, den, nums
+    return x
 
 
-def _sum_of_products(carrier, pairs: list) -> RingElement:
-    """Sum of x * y over ``pairs`` of factors in the form of ``_numerators``,
-    as integer numerators over the lcm of the products' denominators."""
-    common = lcm(*[dx * dy for (dx, _), (dy, _) in pairs])
-    elements = (g for factors in pairs for _, terms in factors for g, _ in terms)
-    encode, mul, decode = carrier.product_code(elements)
-    acc: dict = {}
-    get = acc.get
-    for (dx, xs), (dy, ys) in pairs:
-        scale = common // (dx * dy)
-        if encode is not None:
-            xs = [(encode(g), a) for g, a in xs]
-            ys = [(encode(h), b) for h, b in ys]
-        for g, a in xs:
-            a *= scale
-            for h, b in ys:
-                k = mul(g, h)
-                acc[k] = get(k, 0) + a * b
-    if decode is not None:
-        return RingElement._exact(carrier, {decode(k): Fraction(n, common) for k, n in acc.items() if n})
-    return RingElement._exact(carrier, {g: Fraction(n, common) for g, n in acc.items() if n})
+def _products(carrier, a: Sequence, b: Sequence) -> list[list[RingElement]]:
+    """The product of the square arrays of elements ``a`` and ``b`` under one
+    ``product_code`` for all their terms (``b is a`` encodes them once).
+    Entry (i, j) accumulates integer numerators over the lcm of its term
+    products' denominators, and only its surviving keys are decoded."""
+    terms = (g for m in ((a,) if b is a else (a, b)) for row in m for x in row for g in x.nums)
+    encode, mul, decode = carrier.product_code(terms)
+
+    def encoded(m: Sequence) -> list:
+        if encode is None:
+            return [[(x.den, list(x.nums.items())) for x in row] for row in m]
+        return [[(x.den, [(encode(g), n) for g, n in x.nums.items()]) for x in row] for row in m]
+
+    left = encoded(a)
+    right = left if b is a else encoded(b)
+
+    def entry(i: int, j: int) -> RingElement:
+        pairs = [(left[i][k], right[k][j]) for k in range(n) if left[i][k][1] and right[k][j][1]]
+        common = lcm(*[dx * dy for (dx, _), (dy, _) in pairs])
+        acc: dict = {}
+        get = acc.get
+        for (dx, xs), (dy, ys) in pairs:
+            scale = common // (dx * dy)
+            for g, p in xs:
+                p *= scale
+                for h, q in ys:
+                    k = mul(g, h)
+                    acc[k] = get(k, 0) + p * q
+        if decode is not None:
+            acc = {decode(k): v for k, v in acc.items() if v}
+        return _element(carrier, common, acc)
+
+    n = len(a)
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
 
 
 def ring_zero(carrier) -> RingElement:
-    return RingElement(carrier)
+    return RingElement(carrier, {})
 
 
 def ring_one(carrier) -> RingElement:
-    return RingElement(carrier, {carrier.identity: Fraction(1)})
+    return _element(carrier, 1, {carrier.identity: 1})
 
 
 def monomial(carrier, g, coeff=1) -> RingElement:
-    return RingElement(carrier, {g: _as_fraction(coeff)})
+    return RingElement(carrier, {g: coeff})
 
 
 class RingMatrix:
@@ -193,17 +202,7 @@ class RingMatrix:
         if not isinstance(other, RingMatrix):
             return NotImplemented
         self._check_same(other)
-        n = self.n
-        left = [[_numerators(e) for e in row] for row in self.entries]
-        right = left if other is self else [[_numerators(f) for f in row] for row in other.entries]
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                pairs = [(left[i][k], right[k][j]) for k in range(n) if left[i][k][1] and right[k][j][1]]
-                row.append(_sum_of_products(self.carrier, pairs))
-            rows.append(row)
-        return RingMatrix(self.carrier, rows)
+        return RingMatrix(self.carrier, _products(self.carrier, self.entries, other.entries))
 
     def is_idempotent(self) -> bool:
         return self * self == self
@@ -240,7 +239,7 @@ def kappa(x) -> Fraction:
 def epsilon(x) -> Fraction:
     """Sum of all coefficients (over the diagonal for matrices)."""
     if isinstance(x, RingElement):
-        return sum(x._coeffs.values(), Fraction(0))
+        return Fraction(sum(x.nums.values()), x.den)
     if isinstance(x, RingMatrix):
         return sum((epsilon(x.entries[i][i]) for i in range(x.n)), Fraction(0))
     raise GroupRingError(f"unsupported operand {type(x)!r}")
@@ -257,15 +256,15 @@ def torsion_idempotent(carrier, g, n: int) -> RingElement:
     if n < 1:
         raise GroupRingError("order must be positive")
     power = carrier.identity
-    coeffs: dict = {}
+    nums: dict = {}
     for k in range(n):
         if k > 0 and power == carrier.identity:
             raise GroupRingError(f"element has order {k}, not {n}")
-        coeffs[power] = coeffs.get(power, Fraction(0)) + Fraction(1, n)
+        nums[power] = 1
         power = carrier.mul(power, g)
     if power != carrier.identity:
         raise GroupRingError(f"element does not have order {n}")
-    return RingElement(carrier, coeffs)
+    return _element(carrier, n, nums)
 
 
 @dataclass(frozen=True)
@@ -292,10 +291,10 @@ def hattori_stallings(a: RingMatrix) -> ClassFunction:
     ``canonical_class`` raises ``ConjugacyUnsupportedError``."""
     carrier = a.carrier
     sums: dict = {}
-    for i in range(a.n):
-        for g, c in a.entries[i][i]._coeffs.items():
+    for i, row in enumerate(a.entries):
+        for g, n in row[i].nums.items():
             rep = carrier.canonical_class(g)
-            sums[rep] = sums.get(rep, 0) + c
+            sums[rep] = sums.get(rep, 0) + Fraction(n, row[i].den)
     nonzero = [(g, c) for g, c in sums.items() if c]
     ordered = tuple(sorted(nonzero, key=lambda item: carrier.sort_key(item[0])))
     return ClassFunction(carrier, ordered)
@@ -308,11 +307,11 @@ def pushforward(a: RingMatrix, mapping: Callable, target_carrier) -> RingMatrix:
     for row in a.entries:
         out_row = []
         for entry in row:
-            coeffs: dict = {}
-            for g, c in entry._coeffs.items():
+            nums: dict = {}
+            for g, n in entry.nums.items():
                 k = mapping(g)
-                coeffs[k] = coeffs.get(k, 0) + c
-            out_row.append(RingElement(target_carrier, coeffs))
+                nums[k] = nums.get(k, 0) + n
+            out_row.append(_element(target_carrier, entry.den, nums))
         out_rows.append(out_row)
     return RingMatrix(target_carrier, out_rows)
 

@@ -144,7 +144,7 @@ def _functions(trees):
                         isinstance(d, ast.Name) and d.id == "staticmethod"
                         for d in fn.decorator_list
                     )
-                    callee = node.name if fn.name == "__init__" else fn.name
+                    callee = node.name if fn.name in ("__init__", "__new__") else fn.name
                     yield f"{module[:-3]}:{node.name}.{fn.name}", callee, fn, 0 if static else 1
 
 

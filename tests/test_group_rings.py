@@ -85,18 +85,25 @@ def test_difference_of_squares_over_z():
     x = ring_one(z) + monomial(z, g)
     y = ring_one(z) - monomial(z, g)
     assert x * y == ring_one(z) - monomial(z, (2,))
+    for e in (x, y, x * y, -x):
+        _assert_exact_and_zero_free(e)
 
 
 def test_scale_to_zero(c2):
     p = monomial(c2, 1, Fraction(1, 2))
     assert p.scale(0).is_zero()
     assert not p.scale(0).support()
+    _assert_exact_and_zero_free(p.scale(0))
+    # 1/2 * 4/3 over the denominator 6 reduces to 2/3
+    assert p.scale(Fraction(4, 3)) == monomial(c2, 1, Fraction(2, 3))
+    _assert_exact_and_zero_free(p.scale(Fraction(4, 3)))
 
 
 def test_torsion_idempotent_squares(c2):
     g = c2.group.generator_element(0)
     p = torsion_idempotent(c2, g, 2)
     assert p * p == p
+    _assert_exact_and_zero_free(p)
     assert kappa(p) == Fraction(1, 2)
     assert epsilon(p) == 1
 
@@ -148,6 +155,7 @@ def test_torsion_idempotent_validates_order(c6):
         torsion_idempotent(c6, c6.identity, 2)
     assert torsion_idempotent(c6, c6.identity, 1) == ring_one(c6)
     p = torsion_idempotent(c6, g, 6)
+    _assert_exact_and_zero_free(p)
     assert kappa(p) == Fraction(1, 6)
     assert epsilon(p) == 1
 
@@ -228,6 +236,12 @@ def test_pushforward_collapse_merges(c2):
     mat = RingMatrix(c2, [[x]])
     image = pushforward(mat, lambda g: 0, c2)
     assert image.entries[0][0] == ring_one(c2).scale(2)
+    _assert_exact_and_zero_free(image.entries[0][0])
+    quarters = monomial(c2, 0, Fraction(1, 4)) + monomial(c2, 1, Fraction(1, 4))
+    assert quarters.den == 4
+    half = pushforward(RingMatrix(c2, [[quarters]]), lambda g: 0, c2).entries[0][0]
+    assert half == monomial(c2, 0, Fraction(1, 2)) and half.den == 2
+    _assert_exact_and_zero_free(half)
 
 
 def test_cancellation_leaves_empty_support(c2, z2):
@@ -243,6 +257,7 @@ def test_cancellation_leaves_empty_support(c2, z2):
     for y in cancelled:
         assert y.support() == []
         assert y.is_zero()
+        _assert_exact_and_zero_free(y)
 
 
 def test_pushforward_multiplicative(z2, c6):
@@ -255,6 +270,9 @@ def test_pushforward_multiplicative(z2, c6):
         left = pushforward(a * b, mapping, z2)
         right = pushforward(a, mapping, z2) * pushforward(b, mapping, z2)
         assert left == right
+        for row in left.entries:
+            for e in row:
+                _assert_exact_and_zero_free(e)
 
 
 def test_pushforward_of_double_idempotent_along_rho():
@@ -504,6 +522,7 @@ def _ring(name: str, terms: dict) -> RingElement:
 
 def _assert_exact_and_zero_free(x: RingElement) -> None:
     assert all(type(c) is Fraction and c != 0 for _, c in x.items())
+    assert x == RingElement(x.carrier, dict(x.items()))  # canonical: rebuilding changes nothing
 
 
 @pytest.mark.parametrize("name", sorted(_ELEMENTS))
@@ -525,11 +544,12 @@ def test_matrix_product_matches_oracle(name, data):
     n = data.draw(st.sampled_from((2, 3)))
     entry = st.one_of(st.just({}), _terms(name))
     a, b = (data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)) for _ in range(2))
-    product = RingMatrix(carrier, [[_ring(name, e) for e in row] for row in a]) * RingMatrix(
-        carrier, [[_ring(name, e) for e in row] for row in b]
-    )
+    left = RingMatrix(carrier, [[_ring(name, e) for e in row] for row in a])
+    product = left * RingMatrix(carrier, [[_ring(name, e) for e in row] for row in b])
     expected = naive_matrix_product(mul, a, b)
     assert product == RingMatrix(carrier, [[_ring(name, e) for e in row] for row in expected])
+    # squaring encodes the one factor once; an equal copy is encoded twice
+    assert left * left == left * RingMatrix(carrier, left.entries)
     for row in product.entries:
         for e in row:
             _assert_exact_and_zero_free(e)
