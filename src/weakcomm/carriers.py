@@ -16,12 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import add
 from random import Random
 
 from .finite_groups import FiniteGroup, class_representative_map
 from .presentations import word_to_text
-from .words import Word
+from .words import Word, _intern, _reduced
 
 
 class CarrierError(ValueError):
@@ -168,6 +168,13 @@ class FreeCarrier:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise CarrierError("rank must be positive")
+        # product codes: letter (i, +1) is chr(2i) and (i, -1) is chr(2i + 1); a code
+        # decodes to the shared letter, which ``Word.__mul__`` compares with ``is``
+        letters = [_intern((i, s))[0] for i in range(self.rank) for s in (1, -1)]
+        codes = [chr(c) for c in range(2 * self.rank)]
+        inverse = {c: chr(ord(c) ^ 1) for c in codes}
+        tables = dict(zip(letters, codes)), inverse, dict(zip(codes, letters))
+        object.__setattr__(self, "_code", tables)
 
     @property
     def name(self) -> str:
@@ -184,7 +191,29 @@ class FreeCarrier:
         return x.inverse()
 
     def product_code(self, elements):
-        return None, mul, None
+        """A word is the str of its letter codes, which hashes and compares in C
+        (its hash cached); a product cancels at the seam as ``Word.__mul__``
+        does, and only surviving keys are decoded."""
+        chars, inverse, letters = self._code  # type: ignore[attr-defined]
+
+        def encode(x: Word) -> str:
+            try:
+                return "".join(map(chars.__getitem__, x.letters))
+            except (AttributeError, KeyError, TypeError):
+                raise CarrierError(f"{self.name} multiplies words in its generators only") from None
+
+        def mul(x: str, y: str) -> str:
+            if not x or not y or x[-1] != inverse[y[0]]:
+                return x + y
+            k, top = 1, min(len(x), len(y))
+            while k < top and x[-1 - k] == inverse[y[k]]:
+                k += 1
+            return x[: len(x) - k] + y[k:]
+
+        def decode(k: str) -> Word:
+            return _reduced(tuple([*map(letters.__getitem__, k)]))  # a list sizes the tuple exactly
+
+        return encode, mul, decode
 
     def sort_key(self, x: Word):
         return (len(x.letters), x.letters)

@@ -39,7 +39,7 @@ from weakcomm.group_rings import (
 from weakcomm.presentations import direct_power, parse_presentation
 from weakcomm.sidki import double_presentation
 from weakcomm.todd_coxeter import enumerate_cosets
-from weakcomm.words import Word
+from weakcomm.words import _LETTERS, Word
 
 from helpers import bs12_mul, c6_mul, free_mul, naive_matrix_product, naive_ring_product, zn_mul
 
@@ -462,6 +462,47 @@ def test_free_abelian_rejects_rank_mismatch(z2):
         identity_matrix(z2, 2) * diagonal_matrix(z2, [y, right])
 
 
+def test_free_rejects_letter_outside_rank(f2):
+    x = RingElement(f2, {Word.gen(5): 1})
+    y = RingElement(f2, {Word.gen(1): Fraction(1, 2)})
+    with pytest.raises(CarrierError):
+        x * y
+    with pytest.raises(CarrierError):
+        y * x
+    # an element that is not a word, on either side
+    tup = RingElement(f2, {(0, 1): 1})
+    with pytest.raises(CarrierError):
+        tup * y
+    with pytest.raises(CarrierError):
+        y * tup
+    # one outside letter among good terms, in the left or right factor of an
+    # element and of a matrix
+    bad = RingElement(f2, {Word.gen(0): 1, Word.gen(2).inverse(): 3})
+    with pytest.raises(CarrierError):
+        bad * y
+    with pytest.raises(CarrierError):
+        y * bad
+    with pytest.raises(CarrierError):
+        diagonal_matrix(f2, [y, bad]) * identity_matrix(f2, 2)
+    with pytest.raises(CarrierError):
+        identity_matrix(f2, 2) * diagonal_matrix(f2, [y, bad])
+
+
+def test_free_products_decode_to_shared_letters(f2):
+    # Word.__mul__ finds its seam with ``is``: a decoded word with copied
+    # letters would stop cancelling, without any error
+    rng = Random(5)
+    idempotent = conjugated_diagonal_idempotent(f2, rng, 2, 1)
+    square = idempotent * idempotent
+    products = [e for row in square.entries for e in row]
+    products += [random_ring_element(f2, rng) * random_ring_element(f2, rng) for _ in range(20)]
+    words = [w for e in products for w, _ in e.items()]
+    assert max(map(len, words)) > 4
+    for w in words:
+        assert all(letter is _LETTERS[letter][0] for letter in w.letters)
+        assert (w * w.inverse()).is_identity()
+
+
 def test_free_abelian_inverse_rejects_rank_mismatch(z2):
     assert z2.inv((1, -2)) == (-1, 2)
     with pytest.raises(CarrierError):
@@ -479,7 +520,11 @@ _ELEMENTS = {
     "z1": st.tuples(_WIDE),
     "z2": st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
     "z3": st.tuples(_WIDE, _WIDE, _WIDE),
-    "f2": st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=4).map(
+    # up to 8 letters, so that a seam can cancel several; F_3 draws letters past generator 1
+    "f2": st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), max_size=8).map(
+        lambda letters: free_mul((), tuple(letters))
+    ),
+    "f3": st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))), max_size=8).map(
         lambda letters: free_mul((), tuple(letters))
     ),
     "bs2": st.builds(
@@ -507,6 +552,7 @@ def _oracle_carriers() -> dict:
         "z2": (FreeAbelianCarrier(2), zn_mul, tuple),
         "z3": (FreeAbelianCarrier(3), zn_mul, tuple),
         "f2": (FreeCarrier(2), free_mul, Word),
+        "f3": (FreeCarrier(3), free_mul, Word),
         "bs2": (BaumslagSolitarCarrier(2), bs12_mul, lambda e: BSElement(*e)),
     }
 
