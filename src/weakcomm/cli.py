@@ -25,6 +25,7 @@ from .group_rings import (
     RingMatrix,
     conjugated_diagonal_idempotent,
     epsilon,
+    is_idempotent,
     kappa,
     pushforward,
     random_ring_element,
@@ -392,7 +393,7 @@ def scenario_ring_audit(args) -> tuple[list[ScenarioReport], int]:
 
     # rho pushforward preserves idempotency
     source, image = _c2_pushforward_matrix()
-    ok = source.is_idempotent() and image.is_idempotent()
+    ok = is_idempotent(source) and is_idempotent(image)
     audit = trace_audit(image)
     ok &= audit.all_zaleskii_pass and audit.hs_consistent
     report.record("pushforward-idempotent", ok)

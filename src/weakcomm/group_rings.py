@@ -204,9 +204,6 @@ class RingMatrix:
         self._check_same(other)
         return RingMatrix(self.carrier, _products(self.carrier, self.entries, other.entries))
 
-    def is_idempotent(self) -> bool:
-        return self * self == self
-
     def __repr__(self) -> str:
         return f"RingMatrix(n={self.n}, carrier={self.carrier.name})"
 
@@ -346,7 +343,7 @@ def trace_audit(a: RingMatrix) -> TraceReport:
     verdicts, the augmentation-minus-identity-coefficient delta, and (for
     1x1 matrices) the dichotomy 'identity coefficient in {0,1} iff the
     element is 0 or 1'.  Refuses non-idempotent input."""
-    if not a.is_idempotent():
+    if not is_idempotent(a):
         raise GroupRingError("trace audit requires an idempotent matrix")
     k = kappa(a)
     e = epsilon(a)

@@ -291,13 +291,6 @@ def direct_power(p: Presentation, k: int) -> Presentation:
 # ---------------------------------------------------------------------------
 
 
-def free_identity_decider(p: Presentation) -> Callable[[Word], bool]:
-    """Word problem of a free group: trivial iff freely reduced to empty."""
-    if p.relators:
-        raise PresentationError("free decider requires a presentation without relators")
-    return lambda w: w.is_identity()
-
-
 def direct_power_identity_decider(
     base_decider: Callable[[Word], bool], copies: int, base_num_generators: int
 ) -> Callable[[Word], bool]:
@@ -311,21 +304,5 @@ def direct_power_identity_decider(
             if not base_decider(projected):
                 return False
         return True
-
-    return decide
-
-
-def relator_identity_decider(p: Presentation) -> Callable[[Word], bool]:
-    """Partial decider: confirms words that freely reduce to empty or are a
-    cyclic rotation of a relator or an inverse relator.  Sound for True."""
-    accepted: set[tuple] = set()
-    for r in p.relators:
-        for w in (r, r.inverse()):
-            ls = w.letters
-            for shift in range(len(ls)):
-                accepted.add(ls[shift:] + ls[:shift])
-
-    def decide(w: Word) -> bool:
-        return w.is_identity() or w.letters in accepted
 
     return decide

@@ -44,8 +44,6 @@ from .presentations import (
     Presentation,
     direct_power,
     direct_power_identity_decider,
-    free_identity_decider,
-    relator_identity_decider,
 )
 from .todd_coxeter import (
     CosetEnumerationError,
@@ -74,20 +72,26 @@ SHORT_WORD_LENGTH = 2
 
 @dataclass(frozen=True)
 class CanonicalMaps:
+    """The five canonical maps of a double, made only by :func:`canonical_maps`."""
+
     rho: GeneratorMap
     mu_rho: GeneratorMap
     omega_rho: GeneratorMap
     iota: GeneratorMap
     iota_psi: GeneratorMap
-    verified: dict = field(default_factory=dict)  # map name -> bool
+    verified: dict  # map name -> bool
 
 
 @dataclass(frozen=True)
 class DoubleData:
+    """The double of ``base``: its presentation, the base's element words
+    (None for a PARTIAL double) and the certificate of the FULL schedule.
+    The canonical maps are built and verified on request by
+    :func:`canonical_maps`."""
+
     base: Presentation
     double: Presentation
     element_words: tuple[Word, ...] | None
-    maps: CanonicalMaps  # not verified; see :func:`canonical_maps`
     # None: no commutator was omitted; True: the omitted ones were certified
     # trivial; False: the certificate failed and every one is imposed.
     certificate: bool | None = None
@@ -168,16 +172,13 @@ def double_presentation(
     else:
         double = presented(Word.gen(i) for i in range(g))
 
-    data = DoubleData(
+    return DoubleData(
         base=base,
         double=double,
         element_words=tuple(elements) if elements is not None else None,
-        maps=_build_maps(base, double, g),
         certificate=certificate,
         table=table,
     )
-    _check_retraction(data)
-    return data
 
 
 def _certified_table(
@@ -207,77 +208,50 @@ def _psi_generators(g: int) -> tuple[Word, ...]:
     return tuple(Word.gen(g + i) for i in range(g))
 
 
-def _build_maps(base: Presentation, double: Presentation, g: int) -> CanonicalMaps:
-    g3 = direct_power(base, 3)
-    g2 = direct_power(base, 2)
-    rho_images = []
-    omega_images = []
-    mu_images = []
-    for i in range(g):  # base generators: diagonal-left
-        rho_images.append(Word.gen(i) * Word.gen(g + i))
-        omega_images.append(Word.gen(i))
-        mu_images.append(Word.gen(i))
-    for i in range(g):  # partner generators: diagonal-right
-        rho_images.append(Word.gen(g + i) * Word.gen(2 * g + i))
-        omega_images.append(Word.gen(g + i))
-        mu_images.append(Word.gen(i))
-    return CanonicalMaps(
-        rho=GeneratorMap(double, g3, tuple(rho_images)),
-        mu_rho=GeneratorMap(double, base, tuple(mu_images)),
-        omega_rho=GeneratorMap(double, g2, tuple(omega_images)),
-        iota=GeneratorMap(base, double, tuple(Word.gen(i) for i in range(g))),
-        iota_psi=GeneratorMap(base, double, tuple(Word.gen(g + i) for i in range(g))),
-    )
-
-
-def _check_retraction(data: DoubleData) -> None:
-    # mu_rho after iota must be the identity on base generators.
-    iota = data.maps.iota
-    mu = data.maps.mu_rho
-    for i in range(data.base.num_generators):
-        if mu.apply(iota.images[i]) != Word.gen(i):
-            raise SidkiError("retraction check failed: mu_rho(iota(g)) != g")
+def _rho_images(g: int) -> tuple[Word, ...]:
+    """rho's images in the copy-major G^3: generator i < 2g of the double
+    goes to g_i g_{g+i}, so g -> (g, g, 1) and g_psi -> (1, g, g)."""
+    return tuple(Word.gen(i) * Word.gen(g + i) for i in range(2 * g))
 
 
 def canonical_maps(
     data: DoubleData, base_identity: Callable[[Word], bool] | None = None
 ) -> CanonicalMaps:
-    """Return the five canonical maps, verifying each on all source relators
-    when a word-problem decider for the base is available.
+    """Build the five canonical maps and verify each on all relators of its
+    source.
 
-    ``base_identity`` decides w = e over the base presentation; pass
-    :func:`weakcomm.finite_groups.regular_identity_decider` of a realized
-    base, or omit it for a free base.  Verification failure raises (it
-    signals a constructor bug); unverifiable maps are reported in
-    ``verified`` as False without an error."""
-    maps = data.maps
-    g = data.base.num_generators
-    if base_identity is None and not data.base.relators:
-        base_identity = free_identity_decider(data.base)
-
-    verified: dict[str, bool] = {}
+    rho, mu_rho and omega_rho are verified when a word-problem decider for
+    the base is available: ``base_identity`` decides w = e over the base
+    presentation (pass :func:`weakcomm.finite_groups.regular_identity_decider`
+    of a realized base); a free base needs none.  Without one they are
+    reported in ``verified`` as False.  iota and iota_psi send each base
+    relator to a relator of the double or to its partner copy, so they are
+    always verified, by membership.  A map that fails its check raises."""
+    base, double = data.base, data.double
+    g = base.num_generators
+    gens = tuple(map(Word.gen, range(2 * g)))  # the double's generators
+    maps = {
+        "rho": GeneratorMap(double, direct_power(base, 3), _rho_images(g)),
+        "mu_rho": GeneratorMap(double, base, gens[:g] * 2),
+        "omega_rho": GeneratorMap(double, direct_power(base, 2), gens),
+        "iota": GeneratorMap(base, double, gens[:g]),
+        "iota_psi": GeneratorMap(base, double, gens[g:]),
+    }
+    if base_identity is None and not base.relators:
+        base_identity = Word.is_identity
+    relators = set(double.relators)
+    deciders = {"iota": relators.__contains__, "iota_psi": relators.__contains__}
     if base_identity is not None:
-        deciders = {
-            "rho": direct_power_identity_decider(base_identity, 3, g),
-            "mu_rho": base_identity,
-            "omega_rho": direct_power_identity_decider(base_identity, 2, g),
-        }
-        for name, decider in deciders.items():
-            if not getattr(maps, name).verify(decider):
-                raise SidkiError(f"map {name} fails on a double relator")
-            verified[name] = True
-    else:
-        verified.update({"rho": False, "mu_rho": False, "omega_rho": False})
-
-    # The embeddings send base relators to relators of the double (or their
-    # partner copies), so a syntactic membership check suffices.
-    syntactic = relator_identity_decider(data.double)
-    for name in ("iota", "iota_psi"):
-        if not getattr(maps, name).verify(syntactic):
-            raise SidkiError(f"map {name} fails on a base relator")
-        verified[name] = True
-
-    return replace(maps, verified=verified)
+        deciders["rho"] = direct_power_identity_decider(base_identity, 3, g)
+        deciders["mu_rho"] = base_identity
+        deciders["omega_rho"] = direct_power_identity_decider(base_identity, 2, g)
+    verified = {}
+    for name, gmap in maps.items():
+        decide = deciders.get(name)
+        if decide is not None and not gmap.verify(decide):
+            raise SidkiError(f"map {name} fails on a relator of its source")
+        verified[name] = decide is not None
+    return CanonicalMaps(**maps, verified=verified)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +263,7 @@ def rho_on_elements(
     data: DoubleData, x_group: FiniteGroup, triple_group: FiniteGroup
 ) -> FiniteHom:
     """rho as a homomorphism from a realized double to a realized G^3."""
-    images = tuple(triple_group.evaluate(img) for img in data.maps.rho.images)
+    images = tuple(map(triple_group.evaluate, _rho_images(data.base.num_generators)))
     return FiniteHom(x_group, triple_group, images)
 
 

@@ -26,6 +26,7 @@ from weakcomm.group_rings import (
     conjugated_diagonal_idempotent,
     epsilon,
     hattori_stallings,
+    is_idempotent,
     kappa,
     pushforward,
     random_ring_element,
@@ -35,6 +36,7 @@ from weakcomm.group_rings import (
 from weakcomm.presentations import direct_power, parse_presentation, parse_word
 from weakcomm.sidki import (
     analyze_double_kernel,
+    canonical_maps,
     double_presentation,
     identity_witness,
     subgroup_families,
@@ -183,7 +185,7 @@ def _idempotent_corpus(rng: Random):
     data = double_presentation(pres, base.words)
     x_group = realize(enumerate_cosets(data.double))
     triple = realize(enumerate_cosets(direct_power(pres, 3)))
-    images = tuple(triple.evaluate(img) for img in data.maps.rho.images)
+    images = tuple(triple.evaluate(img) for img in canonical_maps(data).rho.images)
 
     def rho_on_elements(elem: int) -> int:
         z = 0
@@ -194,7 +196,7 @@ def _idempotent_corpus(rng: Random):
     x_carrier = FiniteCarrier(x_group)
     p = torsion_idempotent(x_carrier, x_group.generator_element(0), 2)
     pushed = pushforward(RingMatrix(x_carrier, [[p]]), rho_on_elements, FiniteCarrier(triple))
-    assert pushed.is_idempotent()
+    assert is_idempotent(pushed)
     corpus.append(("rho-pushforward", pushed))
     return corpus
 

@@ -11,12 +11,10 @@ from weakcomm.presentations import (
     UndeclaredGeneratorError,
     direct_power,
     direct_power_identity_decider,
-    free_identity_decider,
     parse_presentation,
     parse_word,
     parse_words,
     presentation_to_text,
-    relator_identity_decider,
     word_to_text,
 )
 from weakcomm.words import Word, commutator
@@ -215,29 +213,7 @@ def test_map_image_count_validated():
         GeneratorMap(p, q, (Word.gen(0),))
 
 
-def test_free_decider():
-    p = parse_presentation("< a, b | >")
-    decide = free_identity_decider(p)
-    assert decide(Word.identity())
-    assert not decide(Word.gen(0))
-    with pytest.raises(PresentationError):
-        free_identity_decider(parse_presentation("< a | a^2 >"))
-
-
 def test_direct_power_decider_projects():
-    base = parse_presentation("< a | >")
-    decide = direct_power_identity_decider(free_identity_decider(base), 2, 1)
+    decide = direct_power_identity_decider(Word.is_identity, 2, 1)
     assert decide(commutator(Word.gen(0), Word.gen(1)))
     assert not decide(Word.gen(0) * Word.gen(1))
-
-
-def test_relator_decider_sound_cases():
-    p = parse_presentation("< a, b | a^2, [a,b] >")
-    decide = relator_identity_decider(p)
-    assert decide(Word.identity())
-    assert decide(Word.gen(0) ** 2)
-    assert decide(Word.gen(0) ** -2)
-    # cyclic rotation of the commutator
-    rotated = Word(p.relators[1].letters[1:] + p.relators[1].letters[:1])
-    assert decide(rotated)
-    assert not decide(Word.gen(1))

@@ -286,17 +286,30 @@ def test_commutation_in_the_image(klein_double):
         assert decide_g3(image_comm)
 
 
-def test_verification_catches_bad_map(c2_double):
+def test_verification_catches_bad_map():
+    target = realized("< y | y^2 >")
+    decide = regular_identity_decider(target)
+    # x -> y sends x^3 to y, which is not trivial in C2
+    bad = GeneratorMap(presented("< x | x^3 >"), target.presentation, (Word.gen(0),))
+    assert not bad.verify(decide)
+    good = GeneratorMap(presented("< x | x^4 >"), target.presentation, (Word.gen(0),))
+    assert good.verify(decide)
+
+
+def test_canonical_maps_refuses_rho_under_a_wrong_decider(c2_double):
+    _, data = c2_double
+    # the free decider says a^2 != e, so rho's image of the relator a^2 fails
+    with pytest.raises(SidkiError, match="rho"):
+        canonical_maps(data, Word.is_identity)
+
+
+def test_canonical_maps_refuses_iota_into_a_double_missing_a_base_relator(c2_double):
     base, data = c2_double
-    bad = GeneratorMap(
-        data.double, data.base, (Word.gen(0), Word.identity())
-    )  # sends a_psi to e: breaks the psi-copy relator? no; breaks nothing in C2
-    # a genuinely bad map: send both generators of the free base to a
-    free = presented("< x | >")
-    target = presented("< y | y^2 >")
-    m = GeneratorMap(free, target, (Word.gen(0),))
-    assert m.verify(lambda w: w.is_identity())  # no relators to check
-    assert bad.verify(regular_identity_decider(base))
+    double = data.double
+    dropped = replace(data, double=replace(double, relators=double.relators[1:]))
+    assert double.relators[0] == Word.gen(0) ** 2
+    with pytest.raises(SidkiError, match="iota"):
+        canonical_maps(dropped, regular_identity_decider(base))
 
 
 def test_partial_double_maps_verified_on_free_base():
@@ -486,7 +499,7 @@ def rho_image_permutations(data, model):
     g = data.base.num_generators
     d = len(model[0])
     out = []
-    for image in data.maps.rho.images:
+    for image in canonical_maps(data).rho.images:
         perm = perm_identity(3 * d)
         for index, sign in image.letters:
             copy, gen = divmod(index, g)
